@@ -177,8 +177,13 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if a.data.shape != b.data.shape and np.broadcast_shapes(a.data.shape, b.data.shape) is None:
-        raise ShapeError(f"mul: incompatible shapes {a.data.shape} vs {b.data.shape}")
+    if a.data.shape != b.data.shape:
+        try:
+            np.broadcast_shapes(a.data.shape, b.data.shape)
+        except ValueError:
+            raise ShapeError(
+                f"mul: incompatible shapes {a.data.shape} vs {b.data.shape}"
+            ) from None
     out = a.data * b.data
 
     def bw(g):
@@ -552,55 +557,76 @@ def smooth_l1(pred, target, beta=1.0):
     return _node(out, (pred,), bw)
 
 
+def _scatter_add_rows(table, rows, vals):
+    """``np.add.at(table, rows, vals)`` for a float32 (P, C) table and
+    float64 (K, C) values, with the same result.
+
+    Every element gets ``float32(float64(element) + value)`` for each of
+    its contributions, in the order they come in ``rows``. add.at does
+    this one element at a time on its casting path. Here the k-th
+    contribution to each row goes in round k, which touches each row at
+    most once, so a round is one vectorized read-add-write.
+    """
+    n = len(rows)
+    by_row = np.argsort(rows, kind="stable")
+    sorted_rows = rows[by_row]
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_rows[1:] != sorted_rows[:-1]
+    run_start = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_row] = np.arange(n) - run_start
+    by_round = np.argsort(rank, kind="stable")
+    bounds = np.cumsum(np.bincount(rank))
+    lo = 0
+    for hi in bounds:
+        sel = by_round[lo:hi]
+        at = rows[sel]
+        table[at] = table[at] + vals[sel]
+        lo = hi
+
+
 def roi_pool_bilinear(feat, rois, out_size):
     """Bilinear ROI pooling: one sample at each of out_size^2 bin centers.
 
     ``rois`` is a plain (R, 5) array of [image_index, x1, y1, x2, y2] in
     feature-map coordinates. Returns an (R, C, s, s) tensor.
     """
-    rois = np.asarray(rois, dtype=np.float32)
+    rois = np.asarray(rois, dtype=np.float32).reshape(-1, 5)
     n, c, h, w = feat.data.shape
     s = out_size
-    r = len(rois)
-    out = np.zeros((r, c, s, s), dtype=np.float32)
-    # cached bilinear taps for the backward scatter
-    taps = []
     grid = (np.arange(s, dtype=np.float32) + 0.5) / s
-    for i, (bi, x1, y1, x2, y2) in enumerate(rois):
-        bi = int(bi)
-        xs = x1 + grid * max(x2 - x1, 1e-3)
-        ys = y1 + grid * max(y2 - y1, 1e-3)
-        xs = np.clip(xs, 0.0, w - 1.0)
-        ys = np.clip(ys, 0.0, h - 1.0)
-        x0 = np.floor(xs).astype(np.int64)
-        y0 = np.floor(ys).astype(np.int64)
-        x1i = np.minimum(x0 + 1, w - 1)
-        y1i = np.minimum(y0 + 1, h - 1)
-        fx = xs - x0
-        fy = ys - y0
-        f = feat.data[bi]
-        v = (
-            f[:, y0[:, None], x0[None, :]] * ((1 - fy)[:, None] * (1 - fx)[None, :])
-            + f[:, y0[:, None], x1i[None, :]] * ((1 - fy)[:, None] * fx[None, :])
-            + f[:, y1i[:, None], x0[None, :]] * (fy[:, None] * (1 - fx)[None, :])
-            + f[:, y1i[:, None], x1i[None, :]] * (fy[:, None] * fx[None, :])
-        )
-        out[i] = v
-        taps.append((bi, x0, y0, x1i, y1i, fx, fy))
+    bi = rois[:, 0].astype(np.int64)
+    x1, y1, x2, y2 = rois[:, 1:2], rois[:, 2:3], rois[:, 3:4], rois[:, 4:5]
+    xs = np.clip(x1 + grid * np.maximum(x2 - x1, 1e-3), 0.0, w - 1.0)
+    ys = np.clip(y1 + grid * np.maximum(y2 - y1, 1e-3), 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1i = np.minimum(x0 + 1, w - 1)
+    y1i = np.minimum(y0 + 1, h - 1)
+    fx = (xs - x0)[:, None, :]  # (R, 1, s), float64
+    fy = (ys - y0)[:, :, None]  # (R, s, 1)
+    # taps 00, 01, 10, 11 as (R, 4, s, s) rows of the (N*H*W, C) pixel
+    # table, and their bilinear weights
+    row0 = (bi * (h * w))[:, None, None] + (y0 * w)[:, :, None]
+    row1 = (bi * (h * w))[:, None, None] + (y1i * w)[:, :, None]
+    taps = np.stack([row0 + x0[:, None, :], row0 + x1i[:, None, :],
+                     row1 + x0[:, None, :], row1 + x1i[:, None, :]], axis=1)
+    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx,
+                        fy * (1 - fx), fy * fx], axis=1)[..., None]
+    pixels = feat.data.transpose(0, 2, 3, 1).reshape(-1, c)
+    # the four taps summed in order 00, 01, 10, 11, in float64
+    v = pixels[taps[:, 0]] * weights[:, 0]
+    for k in range(1, 4):
+        v = v + pixels[taps[:, k]] * weights[:, k]
+    out = v.astype(np.float32).transpose(0, 3, 1, 2)
 
     def bw(g):
-        gx = np.zeros_like(feat.data)
-        for i, (bi, x0, y0, x1i, y1i, fx, fy) in enumerate(taps):
-            gi = g[i]
-            w00 = (1 - fy)[:, None] * (1 - fx)[None, :]
-            w01 = (1 - fy)[:, None] * fx[None, :]
-            w10 = fy[:, None] * (1 - fx)[None, :]
-            w11 = fy[:, None] * fx[None, :]
-            np.add.at(gx[bi], (slice(None), y0[:, None], x0[None, :]), gi * w00)
-            np.add.at(gx[bi], (slice(None), y0[:, None], x1i[None, :]), gi * w01)
-            np.add.at(gx[bi], (slice(None), y1i[:, None], x0[None, :]), gi * w10)
-            np.add.at(gx[bi], (slice(None), y1i[:, None], x1i[None, :]), gi * w11)
-        _acc(feat, gx)
+        gpix = np.zeros((n * h * w, c), dtype=np.float32)
+        # contributions in (roi, tap, bin) order, as a per-roi, per-tap
+        # scatter would add them to each feature element
+        vals = g.transpose(0, 2, 3, 1)[:, None] * weights
+        _scatter_add_rows(gpix, taps.reshape(-1), vals.reshape(-1, c))
+        _acc(feat, gpix.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
     return _node(out, (feat,), bw)
 

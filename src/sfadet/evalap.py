@@ -112,50 +112,48 @@ def group_detections(records, known_image_ids):
     return out
 
 
-def _match_image(det_boxes, det_scores, gt_boxes, gt_ignore, thresh):
-    """Greedy per-image matching at one IoU threshold.
+def _match_image(ious, order, gt_ignore):
+    """Greedy matching of one image's detections of one class, at every
+    IoU threshold.
 
-    Detections in descending score order each take the highest-IoU unmatched
-    valid gt; if only an ignored gt overlaps, the detection is ignored.
-    Returns (matched_gt_flags, det_status) with status 1 TP, 0 FP, -1 ignored.
+    ``ious`` is the (detections, gts) IoU matrix and ``order`` the
+    detections in descending score order. Each detection takes the
+    highest-IoU unmatched valid gt; if only an ignored gt overlaps, the
+    detection is ignored. Returns a (thresholds, detections) status array:
+    1 TP, 0 FP, -1 ignored.
     """
-    order = np.argsort(-det_scores, kind="stable")
-    g_taken = np.zeros(len(gt_boxes), dtype=bool)
-    status = np.zeros(len(det_boxes), dtype=np.int64)
-    matched_valid = np.zeros(len(gt_boxes), dtype=bool)
-    if len(gt_boxes) and len(det_boxes):
-        ious = iou_xywh(det_boxes, gt_boxes)
-    for d in order:
-        best_g, best_iou = -1, thresh - 1e-12
-        best_ign_g, best_ign_iou = -1, thresh - 1e-12
-        for g in range(len(gt_boxes)):
-            if g_taken[g]:
-                continue
-            v = ious[d, g]
-            if gt_ignore[g]:
-                if v > best_ign_iou:
-                    best_ign_g, best_ign_iou = g, v
-            elif v > best_iou:
-                best_g, best_iou = g, v
-        if best_g >= 0:
-            g_taken[best_g] = True
-            matched_valid[best_g] = True
-            status[d] = 1
-        elif best_ign_g >= 0:
-            g_taken[best_ign_g] = True
-            status[d] = -1
-        else:
-            status[d] = 0
-    return matched_valid, status
+    status = np.zeros((len(IOU_THRESHOLDS), len(ious)), dtype=np.int64)
+    ignore = [bool(v) for v in gt_ignore]
+    for k, thresh in enumerate(IOU_THRESHOLDS):
+        floor = thresh - 1e-12
+        # a detection with no IoU above the floor is a false positive and
+        # takes no gt, so the greedy pass only visits the others
+        cand = order[(ious[order] > floor).any(axis=1)]
+        taken = [False] * len(ignore)
+        for d, row in zip(cand.tolist(), ious[cand].tolist()):
+            best_g, best_iou = -1, floor
+            best_ign_g, best_ign_iou = -1, floor
+            for g, v in enumerate(row):
+                if taken[g]:
+                    continue
+                if ignore[g]:
+                    if v > best_ign_iou:
+                        best_ign_g, best_ign_iou = g, v
+                elif v > best_iou:
+                    best_g, best_iou = g, v
+            if best_g >= 0:
+                taken[best_g] = True
+                status[k, d] = 1
+            elif best_ign_g >= 0:
+                taken[best_ign_g] = True
+                status[k, d] = -1
+    return status
 
 
-def _ap_from_matches(scores, statuses, n_gt):
-    """101-point interpolated AP from pooled (score, status) detections."""
-    if n_gt == 0:
-        return None, None
-    order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))
-    st = np.asarray(statuses)[order]
-    st = st[st >= 0]  # drop ignored detections
+def _ap_from_matches(statuses, n_gt):
+    """101-point interpolated AP and the highest recall at one threshold,
+    from the statuses of pooled detections in descending score order."""
+    st = statuses[statuses >= 0]  # drop ignored detections
     if len(st) == 0:
         return 0.0, 0.0
     tp = np.cumsum(st == 1)
@@ -163,8 +161,7 @@ def _ap_from_matches(scores, statuses, n_gt):
     recall = tp / n_gt
     precision = tp / np.maximum(tp + fp, 1)
     # precision envelope (monotone non-increasing from the right)
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     idx = np.searchsorted(recall, RECALL_POINTS, side="left")
     prec_at = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
     ap = float(prec_at.mean())
@@ -196,6 +193,20 @@ def evaluate(dets, gt_samples) -> EvalReport:
         keep = np.array(sorted(keep), dtype=np.int64)
         capped.append((d.boxes[keep], d.scores[keep], d.classes[keep]))
 
+    # per (image, class): gt areas, detection scores, and the statuses of
+    # the detections for each gt-ignore pattern. The IoU matrix is computed
+    # once and shared by every bucket and threshold; buckets that ignore
+    # the same gts share the statuses.
+    pairs = {}
+    for c in class_ids:
+        for img in range(len(dets)):
+            g = gt_boxes[img][gt_classes[img] == c]
+            db, ds, dc = capped[img]
+            dsel = dc == c
+            ious = iou_xywh(db[dsel], g) if len(g) and dsel.any() else None
+            order = np.argsort(-ds[dsel], kind="stable")
+            pairs[img, c] = (g[:, 2] * g[:, 3], ds[dsel], ious, order, {})
+
     bucket_ap = {}
     bucket_ar = {}
     per_class = {}
@@ -203,32 +214,30 @@ def evaluate(dets, gt_samples) -> EvalReport:
         aps = {t: [] for t in IOU_THRESHOLDS}
         recalls = {t: [] for t in IOU_THRESHOLDS}
         for c in class_ids:
-            has_gt = False
-            per_t_scores = {t: [] for t in IOU_THRESHOLDS}
-            per_t_status = {t: [] for t in IOU_THRESHOLDS}
+            scores, statuses = [], []
             n_gt_valid = 0
             for img in range(len(dets)):
-                sel = gt_classes[img] == c
-                g = gt_boxes[img][sel]
-                areas = g[:, 2] * g[:, 3] if len(g) else np.zeros(0)
+                areas, ds, ious, order, by_ignore = pairs[img, c]
                 ignore = ~((areas >= lo) & (areas < hi))
                 n_gt_valid += int((~ignore).sum())
-                db, ds, dc = capped[img]
-                dsel = dc == c
-                for t in IOU_THRESHOLDS:
-                    _, status = _match_image(db[dsel], ds[dsel], g, ignore, t)
-                    per_t_scores[t].extend(ds[dsel].tolist())
-                    per_t_status[t].extend(status.tolist())
+                key = ignore.tobytes()
+                if key not in by_ignore:
+                    by_ignore[key] = (
+                        _match_image(ious, order, ignore) if ious is not None
+                        else np.zeros((len(IOU_THRESHOLDS), len(ds)), np.int64))
+                scores.append(ds)
+                statuses.append(by_ignore[key])
             if n_gt_valid == 0:
                 continue
-            has_gt = True
-            for t in IOU_THRESHOLDS:
-                ap, mrec = _ap_from_matches(
-                    per_t_scores[t], per_t_status[t], n_gt_valid
-                )
+            scores = np.concatenate(scores)
+            # descending score; pooled position breaks ties
+            rank = np.lexsort((np.arange(len(scores)), -scores))
+            statuses = np.concatenate(statuses, axis=1)[:, rank]
+            for t, st in zip(IOU_THRESHOLDS, statuses):
+                ap, mrec = _ap_from_matches(st, n_gt_valid)
                 aps[t].append(ap)
                 recalls[t].append(mrec)
-            if has_gt and bname == "all":
+            if bname == "all":
                 per_class[c] = {
                     "AP@0.5": aps[IOU_THRESHOLDS[0]][-1],
                     "AP": float(np.mean([aps[t][-1] for t in IOU_THRESHOLDS])),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class TrainState:
     in_bands: int
     optimizer: ad.Adam
     rng: np.random.Generator
-    anchors: list = None
+    anchors: dict = field(default_factory=dict)   # (H, W) -> per-level anchors
     step: int = 0
 
     def trainable(self):
@@ -183,14 +183,23 @@ def _ssam_params_view(state):
     return p
 
 
-def _per_image_rpn_loss(state, logits, deltas, gt_boxes_list, rng):
+def _anchors_for(state, h, w):
+    """Per-level anchors for an H x W input, generated once per shape."""
+    if (h, w) not in state.anchors:
+        state.anchors[(h, w)] = detect.generate_anchors(
+            [(h // s, w // s) for s in detect.STRIDES]
+        )
+    return state.anchors[(h, w)]
+
+
+def _per_image_rpn_loss(anchors, logits, deltas, gt_boxes_list, rng):
     """Mean RPN loss over the batch; gt lists may be empty (background)."""
     n = logits[0].shape[0]
+    allanch = np.concatenate(anchors, axis=0)
     terms = []
     for i in range(n):
         lf = ad.concat([ad.take_row(l, i) for l in logits], axis=0)
         df = ad.concat([ad.take_row(d, i) for d in deltas], axis=0)
-        allanch = np.concatenate(state.anchors, axis=0)
         terms.append(detect.rpn_loss(lf, df, allanch, gt_boxes_list[i], rng))
     total = terms[0]
     for t in terms[1:]:
@@ -207,11 +216,7 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
 
     src = _batch_tensor([s.cube for s in source_samples])
     tgt = _batch_tensor(target_cubes)
-    if state.anchors is None:
-        h, w = src.shape[2], src.shape[3]
-        state.anchors = detect.generate_anchors(
-            [(h // s, w // s) for s in detect.STRIDES]
-        )
+    src_hw, tgt_hw = src.shape[2:], tgt.shape[2:]
 
     src_out = ssam.ssam_forward(src, sp, cfg.grl_scale,
                                 with_decoder=use_ae, with_classifier=use_ae)
@@ -242,13 +247,14 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
     # with identical inputs and parameters yields an identical loss
     rpn_rng = np.random.default_rng(cfg.seed)
     s_logits, s_deltas = detect.rpn_forward(src_out.fpn_levels, state.params)
-    terms["l_s_rpn"] = _per_image_rpn_loss(state, s_logits, s_deltas, gt_boxes,
-                                           rpn_rng)
+    src_anchors = _anchors_for(state, *src_hw)
+    terms["l_s_rpn"] = _per_image_rpn_loss(src_anchors, s_logits, s_deltas,
+                                           gt_boxes, rpn_rng)
 
     # proposals for the ROI head: RPN output plus injected gt boxes, and
     # jittered gt copies so the box-refinement branch sees non-zero targets
-    props = detect.rpn_proposals(s_logits, s_deltas, state.anchors,
-                                 src.shape[2], post_nms=cfg.proposals_train)
+    props = detect.rpn_proposals(s_logits, s_deltas, src_anchors, src_hw,
+                                 post_nms=cfg.proposals_train)
     proposals = []
     for i in range(len(source_samples)):
         boxes = [np.asarray(b, dtype=np.float64) for b in gt_boxes[i]]
@@ -271,7 +277,8 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
     if cfg.target_rpn == "background":
         t_logits, t_deltas = detect.rpn_forward(tgt_out.fpn_levels, state.params)
         terms["l_t_rpn"] = _per_image_rpn_loss(
-            state, t_logits, t_deltas, [[] for _ in target_cubes], rpn_rng
+            _anchors_for(state, *tgt_hw), t_logits, t_deltas,
+            [[] for _ in target_cubes], rpn_rng
         )
     else:
         terms["l_t_rpn"] = zero
@@ -394,7 +401,7 @@ def infer(params, in_bands, num_classes, cubes, cfg: TrainConfig = None):
             [(h // s, w // s) for s in detect.STRIDES]
         )
         logits, deltas = detect.rpn_forward(fwd.fpn_levels, params)
-        props = detect.rpn_proposals(logits, deltas, anchors, w,
+        props = detect.rpn_proposals(logits, deltas, anchors, (h, w),
                                      pre_nms=400,
                                      post_nms=cfg.proposals_infer)
         dets = detect.roi_predict(fwd.fpn_levels, [props[0][0]], params,

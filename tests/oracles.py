@@ -325,3 +325,61 @@ def evaluate_slow(dets, gts, area_lo=0.0, area_hi=float("inf"), max_dets=100):
         "ap": float(np.mean(flat_ap)) if flat_ap else 0.0,
         "ar": float(np.mean(flat_rec)) if flat_rec else 0.0,
     }
+
+
+# ---------------------------------------------------------------------------
+# per-row NMS and per-ROI pooling, one box at a time
+
+
+def nms_loops(boxes, scores, thresh, max_keep=None):
+    """Greedy NMS one pair at a time: visit boxes by (-score, x, y, w, h),
+    keep each alive one and suppress every later alive box whose IoU with
+    it exceeds ``thresh``; stop after ``max_keep`` kept boxes."""
+    boxes = [tuple(float(v) for v in b) for b in boxes]
+    order = sorted(range(len(boxes)), key=lambda i: (-float(scores[i]),) + boxes[i])
+    alive = [True] * len(boxes)
+    keep = []
+    for pos, i in enumerate(order):
+        if not alive[i]:
+            continue
+        if max_keep is not None and len(keep) == max_keep:
+            break
+        keep.append(i)
+        for j in order[pos + 1:]:
+            if alive[j] and iou_slow(boxes[i], boxes[j]) > thresh:
+                alive[j] = False
+    return keep
+
+
+def roi_pool_loops(feat, rois, s, g):
+    """Bilinear ROI pooling one ROI at a time, and the scatter of the
+    output gradient ``g`` back onto ``feat`` one ROI and one tap at a time.
+
+    Returns (out, grad) as float32 arrays.
+    """
+    n, c, h, w = feat.shape
+    rois = np.asarray(rois, dtype=np.float32).reshape(-1, 5)
+    out = np.zeros((len(rois), c, s, s), dtype=np.float32)
+    grad = np.zeros_like(feat)
+    grid = (np.arange(s, dtype=np.float32) + 0.5) / s
+    for i, (bi, x1, y1, x2, y2) in enumerate(rois):
+        bi = int(bi)
+        xs = np.clip(x1 + grid * max(x2 - x1, 1e-3), 0.0, w - 1.0)
+        ys = np.clip(y1 + grid * max(y2 - y1, 1e-3), 0.0, h - 1.0)
+        x0 = np.floor(xs).astype(np.int64)
+        y0 = np.floor(ys).astype(np.int64)
+        x1i = np.minimum(x0 + 1, w - 1)
+        y1i = np.minimum(y0 + 1, h - 1)
+        fx, fy = xs - x0, ys - y0
+        taps = (
+            (y0, x0, (1 - fy)[:, None] * (1 - fx)[None, :]),
+            (y0, x1i, (1 - fy)[:, None] * fx[None, :]),
+            (y1i, x0, fy[:, None] * (1 - fx)[None, :]),
+            (y1i, x1i, fy[:, None] * fx[None, :]),
+        )
+        t00, t01, t10, t11 = (feat[bi][:, yy[:, None], xx[None, :]] * wt
+                              for yy, xx, wt in taps)
+        out[i] = t00 + t01 + t10 + t11
+        for yy, xx, wt in taps:
+            np.add.at(grad[bi], (slice(None), yy[:, None], xx[None, :]), g[i] * wt)
+    return out, grad

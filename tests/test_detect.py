@@ -9,7 +9,7 @@ from sfadet import detect
 from sfadet.autodiff import Tensor
 from sfadet.ssam import FPN_WIDTH
 
-from oracles import check_grad
+from oracles import check_grad, nms_loops
 
 
 class TestIou:
@@ -91,7 +91,7 @@ class TestAnchors:
          ((64, 64), 3), ((200, 200), 3), ((1, 1), 1)],
     )
     def test_level_heuristic(self, wh, lvl):
-        assert detect.level_for_box((0, 0, wh[0], wh[1])) == lvl
+        assert detect.levels_for_boxes([(0, 0, wh[0], wh[1])]).tolist() == [lvl]
 
 
 class TestNms:
@@ -137,6 +137,38 @@ class TestNms:
 
     def test_empty_input(self):
         assert len(detect.nms(np.zeros((0, 4)), np.zeros(0), 0.5)) == 0
+
+    # boxes on a coarse grid, so duplicates, zero sizes and score ties are
+    # common; more boxes than one NMS block
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                           st.integers(0, 8), st.integers(0, 8),
+                           st.sampled_from([0.2, 0.5, 0.9])),
+                 max_size=60),
+        st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+        st.one_of(st.none(), st.integers(0, 12)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_oracle_on_grid_boxes(self, rows, thresh, max_keep):
+        boxes = np.array([r[:4] for r in rows], dtype=float).reshape(-1, 4)
+        scores = np.array([r[4] for r in rows])
+        keep = detect.nms(boxes, scores, thresh, max_keep=max_keep)
+        assert keep.tolist() == nms_loops(boxes, scores, thresh, max_keep)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120),
+           st.floats(0.05, 0.95), st.one_of(st.none(), st.integers(1, 60)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_row_oracle_on_random_boxes(self, seed, n, thresh,
+                                                    max_keep):
+        rng = np.random.default_rng(seed)
+        boxes = np.stack([rng.uniform(0, 60, n), rng.uniform(0, 60, n),
+                          rng.uniform(0, 30, n), rng.uniform(0, 30, n)], axis=1)
+        scores = rng.uniform(0, 1, n)
+        keep = detect.nms(boxes, scores, thresh, max_keep=max_keep)
+        assert keep.tolist() == nms_loops(boxes, scores, thresh, max_keep)
+        # the early stop returns the prefix of the full pass
+        full = detect.nms(boxes, scores, thresh)
+        assert keep.tolist() == full[:max_keep].tolist()
 
 
 @pytest.fixture
@@ -283,7 +315,7 @@ class TestRpnProposals:
         logits, deltas = detect.rpn_forward(fpn, params)
         props = detect.rpn_proposals(
             logits, deltas, detect.generate_anchors([(8, 8), (4, 4), (2, 2)]),
-            image_size=16,
+            image_shape=(16, 16),
         )
         assert len(props) == 1
         boxes, scores = props[0]
@@ -299,10 +331,27 @@ class TestRpnProposals:
         logits, deltas = detect.rpn_forward(fpn, params)
         props = detect.rpn_proposals(
             logits, deltas, detect.generate_anchors([(8, 8), (4, 4), (2, 2)]),
-            image_size=16,
+            image_shape=(16, 16),
         )
         _, scores = props[0]
         assert np.all(np.diff(scores) <= 1e-9)
+
+    def test_non_square_image_clips_each_axis_to_its_own_size(self, params):
+        # 32 rows, 96 columns: proposals span the whole width and stay
+        # inside the height
+        rng = np.random.default_rng(11)
+        h, w = 32, 96
+        shapes = [(h // s, w // s) for s in detect.STRIDES]
+        fpn = [Tensor(rng.normal(size=(1, FPN_WIDTH) + hw).astype(np.float32)
+                      * 0.5) for hw in shapes]
+        logits, deltas = detect.rpn_forward(fpn, params)
+        [(boxes, _)] = detect.rpn_proposals(
+            logits, deltas, detect.generate_anchors(shapes), (h, w),
+            pre_nms=400, post_nms=200)
+        assert np.all(boxes[:, :2] >= 0)
+        assert np.all(boxes[:, 1] + boxes[:, 3] <= h)
+        assert np.all(boxes[:, 0] + boxes[:, 2] <= w)
+        assert (boxes[:, 0] + boxes[:, 2]).max() > 32
 
 
 class TestRoiHead:

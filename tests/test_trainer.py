@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfadet import hsi, trainer
+from sfadet import detect, hsi, trainer
 from sfadet.hsi import AnnotatedSample, HyperCube, HeldOutAnnotationError
 from sfadet.trainer import ConfigError, LossBreakdown, TrainConfig
 
@@ -275,3 +275,25 @@ class TestGrlDecoupling:
         ref = base.params["enc1.w"].data
         assert not np.array_equal(moved, ref)
         np.testing.assert_array_equal(frozen, ref)
+
+
+class TestAnchorCache:
+    def test_batches_of_different_shapes_get_their_own_anchors(self):
+        rng = np.random.default_rng(3)
+
+        def sample(h, w, image_id, held_out=False):
+            values = rng.normal(0, 1, size=(6, h, w)).astype(np.float32)
+            values[:, 4:12, 4:12] += 1.5
+            return AnnotatedSample(HyperCube(values), [(4.0, 4.0, 8.0, 8.0)],
+                                   [1], held_out=held_out, image_id=image_id)
+
+        state = trainer.init_state(quick_cfg(), in_bands=6, num_classes=1)
+        for h, w in ((64, 64), (32, 96)):
+            src = [sample(h, w, i) for i in range(2)]
+            tgt = [sample(h, w, 10 + i, held_out=True).cube for i in range(2)]
+            bd = trainer.train_step(state, src, tgt)
+            assert np.isfinite(bd.total)
+        assert set(state.anchors) == {(64, 64), (32, 96)}
+        per_location = len(detect.ASPECT_RATIOS)
+        assert sum(len(a) for a in state.anchors[(32, 96)]) == per_location * sum(
+            (32 // s) * (96 // s) for s in detect.STRIDES)
