@@ -5,6 +5,9 @@ node. The tape is implicit: nodes carry a monotonically increasing id, so
 sorting reachable nodes by id gives the insertion order and the backward
 pass walks it in exact reverse. Reductions accumulate in float64 before
 casting back to float32 to keep Frobenius norms stable on wide cubes.
+Convolution unrolls its input once per call into channel-major columns, a
+(C*k*k, N*Ho*Wo) array whose column n*Ho*Wo + i is output position i of
+image n; the per-image GEMMs and the weight gradient read views of it.
 """
 
 from __future__ import annotations
@@ -396,20 +399,27 @@ def matmul(a, b):
 
 
 def _im2col(x, k, stride, padding):
+    """(N, C*k*k, Ho*Wo) columns of an NCHW array, as a view of one
+    channel-major (C*k*k, N*Ho*Wo) buffer; of ``x`` itself for a 1x1,
+    stride-1, unpadded conv."""
     n, c, h, w = x.shape
+    if k == 1 and stride == 1 and not padding:
+        return x.reshape(n, c, h * w), h, w
+    xp = x.transpose(1, 0, 2, 3)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = x.shape[2], x.shape[3]
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    s = x.strides
+        xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    ho = (xp.shape[2] - k) // stride + 1
+    wo = (xp.shape[3] - k) // stride + 1
+    s = xp.strides
     cols = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, k, k, ho, wo),
-        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
+        xp,
+        shape=(c, k, k, n, ho, wo),
+        strides=(s[0], s[2], s[3], s[1], s[2] * stride, s[3] * stride),
         writeable=False,
     )
-    return np.ascontiguousarray(cols).reshape(n, c * k * k, ho * wo), ho, wo
+    cols = np.ascontiguousarray(cols).reshape(c * k * k, n, ho * wo)
+    return cols.transpose(1, 0, 2), ho, wo
 
 
 def conv2d(x, w, b, stride=1, padding=0):
@@ -428,29 +438,39 @@ def conv2d(x, w, b, stride=1, padding=0):
             f"with padding {padding}"
         )
     cols, ho, wo = _im2col(x.data, k, stride, padding)
-    wmat = w.data.reshape(o, c * k * k)
-    out = np.matmul(wmat, cols) + b.data.reshape(1, o, 1)
+    ckk, p = c * k * k, ho * wo
+    wmat = w.data.reshape(o, ckk)
+    # OpenBLAS picks its kernel, and with it the order of each dot
+    # product's sum, from the matrix sizes and operand layouts. The
+    # products below have the sizes and layouts of conv2d_batch_major in
+    # tests/oracles.py, so they give its sums and signed zeros: one GEMM
+    # per image, and a C-ordered copy where numpy uses gemv, dot or
+    # einsum's own loops (o == 1 or p == 1), which read strided operands
+    # in another order.
+    if o == 1 or p == 1:
+        cols = cols.copy()
+    out = np.matmul(wmat, cols)
+    out += b.data.reshape(o, 1)
     out = out.reshape(n, o, ho, wo)
 
     def bw(g):
-        gout = g.reshape(n, o, ho * wo)
+        gout = g.reshape(n, o, p)
         if w.requires_grad:
+            # einsum's GEMM reads cols as (C*k*k, N*Ho*Wo): a view of the
+            # channel-major buffer, unless cols is x or the copy above
             gw = np.einsum("nop,ncp->oc", gout, cols, optimize=True)
             _acc(w, gw.reshape(o, c, k, k))
         if b.requires_grad:
             _acc(b, gout.sum(axis=(0, 2)))
         if x.requires_grad:
-            gcols = np.matmul(wmat.T, gout)  # (n, ckk, p)
-            gcols = gcols.reshape(n, c, k, k, ho, wo)
-            hp, wp = h + 2 * padding, wd + 2 * padding
-            gx = np.zeros((n, c, hp, wp), dtype=np.float32)
+            gcols = np.matmul(wmat.T, gout).reshape(n, c, k, k, ho, wo)
+            gx = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=np.float32)
             for ki in range(k):
                 for kj in range(k):
                     gx[:, :, ki : ki + stride * ho : stride,
                        kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
-            if padding:
-                gx = gx[:, :, padding:-padding, padding:-padding]
-            _acc(x, gx)
+            del gcols
+            _acc(x, gx[:, :, padding:padding + h, padding:padding + wd])
 
     return _node(out, (x, w, b), bw)
 
@@ -494,8 +514,20 @@ def upsample_nearest2d(x, factor):
     n, c, h, w = x.data.shape
 
     def bw(g):
-        gg = g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5))
-        _acc(x, gg.astype(np.float32))
+        if factor >= 8 or w == 1:
+            # here numpy sums each pixel's f*f phases in blocks of 8 or
+            # as one run, not in the phase order below
+            gg = g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5))
+        else:
+            # column phases, then row phases onto zeros: the order in
+            # which the reshape-sum above adds them, signed zeros included
+            rows = g[..., 0::factor]
+            for j in range(1, factor):
+                rows = rows + g[..., j::factor]
+            gg = np.zeros((n, c, h, w), dtype=np.float32)
+            for i in range(factor):
+                gg += rows[:, :, i::factor]
+        _acc(x, gg)
 
     return _node(out, (x,), bw)
 

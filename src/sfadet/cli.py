@@ -2,8 +2,7 @@
 
 Subcommands: gen-synth, band-match, train, infer, eval, gram, ablate.
 Every command prints its resolved configuration, exits 0 on success and
-nonzero with a single-line error otherwise. SFA_THREADS caps numpy worker
-threads when set.
+nonzero with a single-line error otherwise.
 """
 
 from __future__ import annotations
@@ -15,14 +14,6 @@ import os
 import sys
 
 import numpy as np
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("SFA_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _load_synth_config(path, seed=None):
@@ -278,7 +269,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)

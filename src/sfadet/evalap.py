@@ -26,11 +26,6 @@ BUCKETS = {
 }
 
 
-def iou(a, b):
-    """IoU of two xywh boxes; 0 when the union is empty."""
-    return float(iou_xywh([a], [b])[0, 0])
-
-
 def size_bucket(box):
     """small / medium / large by box area with edges at 32^2 and 96^2."""
     area = float(box[2]) * float(box[3])

@@ -82,7 +82,6 @@ class SsamOutput:
     bottleneck: Tensor       # stride-8 sparse code, the feature used by SACM
     fpn_levels: list         # [stride2, stride4, stride8]; [2] feeds the classifier
     domain_logit: Tensor     # one scalar per batch element
-    encoder_levels: list = None
 
 
 def ssam_forward(batch: Tensor, params: SsamParams, grl_scale=-0.5,
@@ -125,7 +124,7 @@ def ssam_forward(batch: Tensor, params: SsamParams, grl_scale=-0.5,
     if with_classifier:
         logit = classify_domain(p3, params, grl_scale)
 
-    return SsamOutput(recon, e3, fpn, logit, encoder_levels=[e1, e2, e3])
+    return SsamOutput(recon, e3, fpn, logit)
 
 
 def classify_domain(fpn_level3: Tensor, params: SsamParams, grl_scale=-0.5) -> Tensor:

@@ -133,8 +133,11 @@ def standardize_cube(values):
     """Per-band zero-mean unit-variance scaling of an (L, H, W) array."""
     v = np.asarray(values, dtype=np.float32)
     mean = v.mean(axis=(1, 2), keepdims=True, dtype=np.float64)
-    std = v.std(axis=(1, 2), keepdims=True, dtype=np.float64)
-    return ((v - mean) / (std + 1e-6)).astype(np.float32)
+    d = v - mean
+    # the float64 sums and divisions of v.std(axis=(1, 2), dtype=np.float64)
+    std = np.sqrt((d * d).sum(axis=(1, 2), keepdims=True) / (v.shape[1] * v.shape[2]))
+    d /= std + 1e-6
+    return d.astype(np.float32)
 
 
 def _batch_tensor(cubes):
@@ -151,9 +154,6 @@ class TrainState:
     rng: np.random.Generator
     anchors: dict = field(default_factory=dict)   # (H, W) -> per-level anchors
     step: int = 0
-
-    def trainable(self):
-        return self.params
 
 
 def init_state(cfg: TrainConfig, in_bands, num_classes) -> TrainState:
@@ -183,13 +183,14 @@ def _ssam_params_view(state):
     return p
 
 
-def _anchors_for(state, h, w):
-    """Per-level anchors for an H x W input, generated once per shape."""
-    if (h, w) not in state.anchors:
-        state.anchors[(h, w)] = detect.generate_anchors(
+def _anchors_for(cache, h, w):
+    """Per-level anchors for an H x W input, generated once per shape and
+    kept in ``cache``, a dict keyed by (H, W)."""
+    if (h, w) not in cache:
+        cache[(h, w)] = detect.generate_anchors(
             [(h // s, w // s) for s in detect.STRIDES]
         )
-    return state.anchors[(h, w)]
+    return cache[(h, w)]
 
 
 def _per_image_rpn_loss(anchors, logits, deltas, gt_boxes_list, rng):
@@ -247,7 +248,7 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
     # with identical inputs and parameters yields an identical loss
     rpn_rng = np.random.default_rng(cfg.seed)
     s_logits, s_deltas = detect.rpn_forward(src_out.fpn_levels, state.params)
-    src_anchors = _anchors_for(state, *src_hw)
+    src_anchors = _anchors_for(state.anchors, *src_hw)
     terms["l_s_rpn"] = _per_image_rpn_loss(src_anchors, s_logits, s_deltas,
                                            gt_boxes, rpn_rng)
 
@@ -277,7 +278,7 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
     if cfg.target_rpn == "background":
         t_logits, t_deltas = detect.rpn_forward(tgt_out.fpn_levels, state.params)
         terms["l_t_rpn"] = _per_image_rpn_loss(
-            _anchors_for(state, *tgt_hw), t_logits, t_deltas,
+            _anchors_for(state.anchors, *tgt_hw), t_logits, t_deltas,
             [[] for _ in target_cubes], rpn_rng
         )
     else:
@@ -391,15 +392,14 @@ def infer(params, in_bands, num_classes, cubes, cfg: TrainConfig = None):
             )
     sp = ssam.SsamParams(in_bands=in_bands)
     sp.tensors = params
+    anchor_cache = {}
     out = []
     for cube in cubes:
         batch = _batch_tensor([cube])
         fwd = ssam.ssam_forward(batch, sp, with_decoder=False,
                                 with_classifier=False)
         h, w = batch.shape[2], batch.shape[3]
-        anchors = detect.generate_anchors(
-            [(h // s, w // s) for s in detect.STRIDES]
-        )
+        anchors = _anchors_for(anchor_cache, h, w)
         logits, deltas = detect.rpn_forward(fwd.fpn_levels, params)
         props = detect.rpn_proposals(logits, deltas, anchors, (h, w),
                                      pre_nms=400,

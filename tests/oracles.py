@@ -383,3 +383,71 @@ def roi_pool_loops(feat, rois, s, g):
         for yy, xx, wt in taps:
             np.add.at(grad[bi], (slice(None), yy[:, None], xx[None, :]), g[i] * wt)
     return out, grad
+
+
+# ---------------------------------------------------------------------------
+# dense kernels as first written: batch-major im2col with np.pad, one GEMM
+# per image, einsum weight gradient, reshape-sum upsample backward and a
+# two-pass standardize. The library's kernels must match them bit for bit.
+
+
+def same_bits(got, want):
+    """Same dtype, shape and bytes: equal values, signed zeros included."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def _im2col_batch_major(x, k, stride, padding):
+    n, c, h, w = x.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = x.shape[2], x.shape[3]
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
+    s = x.strides
+    cols = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, k, k, ho, wo),
+        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
+        writeable=False,
+    )
+    return np.ascontiguousarray(cols).reshape(n, c * k * k, ho * wo), ho, wo
+
+
+def conv2d_batch_major(x, w, b, g, stride, padding):
+    """Float32 conv2d forward and, for output gradient ``g``, the input,
+    weight and bias gradients. Returns (out, gx, gw, gb)."""
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    cols, ho, wo = _im2col_batch_major(x, k, stride, padding)
+    wmat = w.reshape(o, c * k * k)
+    out = np.matmul(wmat, cols) + b.reshape(1, o, 1)
+    out = out.reshape(n, o, ho, wo)
+    gout = g.reshape(n, o, ho * wo)
+    gw = np.einsum("nop,ncp->oc", gout, cols, optimize=True).reshape(o, c, k, k)
+    gb = gout.sum(axis=(0, 2))
+    gcols = np.matmul(wmat.T, gout).reshape(n, c, k, k, ho, wo)
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    gx = np.zeros((n, c, hp, wp), dtype=np.float32)
+    for ki in range(k):
+        for kj in range(k):
+            gx[:, :, ki : ki + stride * ho : stride,
+               kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
+    if padding:
+        gx = gx[:, :, padding:-padding, padding:-padding]
+    return out, gx, gw, gb
+
+
+def upsample_nearest2d_grad_reshape(g, factor):
+    """Input gradient of nearest upsampling by ``factor`` for an NCHW
+    output gradient ``g``."""
+    n, c, hf, wf = g.shape
+    h, w = hf // factor, wf // factor
+    return g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)).astype(np.float32)
+
+
+def standardize_cube_two_pass(values):
+    v = np.asarray(values, dtype=np.float32)
+    mean = v.mean(axis=(1, 2), keepdims=True, dtype=np.float64)
+    std = v.std(axis=(1, 2), keepdims=True, dtype=np.float64)
+    return ((v - mean) / (std + 1e-6)).astype(np.float32)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sfadet import autodiff as ad
 from sfadet.autodiff import Tensor
 
-from oracles import check_grad, roi_pool_loops
+from oracles import (check_grad, conv2d_batch_major, roi_pool_loops,
+                     same_bits, upsample_nearest2d_grad_reshape)
 
 
 def randn(rng, *shape):
@@ -244,6 +245,58 @@ def test_roi_pool_bilinear_matches_per_roi_oracle(seed, n, c, s):
         want_out, want_grad = roi_pool_loops(feat, rois, s, g)
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(t.grad, want_grad)
+
+
+def _conv2d_matches_oracle(rng, n, c, o, h, w, k, stride, padding):
+    x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+    wt = rng.normal(size=(o, c, k, k)).astype(np.float32)
+    b = rng.normal(size=(o,)).astype(np.float32)
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    g = rng.normal(size=(n, o, ho, wo)).astype(np.float32)
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+    out = ad.conv2d(tx, tw, tb, stride=stride, padding=padding)
+    out.backward(g)
+    want = conv2d_batch_major(x, wt, b, g, stride, padding)
+    for got, ref in zip((out.data, tx.grad, tw.grad, tb.grad), want):
+        assert same_bits(got, ref)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.integers(1, 40),
+       st.integers(1, 40), st.integers(1, 24), st.integers(1, 12),
+       st.sampled_from([1, 3]), st.sampled_from([1, 2]), st.sampled_from([0, 1]))
+@settings(max_examples=150, deadline=None)
+def test_conv2d_matches_batch_major_oracle(seed, n, c, o, h, dw, k, stride,
+                                           padding):
+    h = max(h, k - 2 * padding)
+    _conv2d_matches_oracle(np.random.default_rng(seed), n, c, o, h, h + dw,
+                           k, stride, padding)
+
+
+@pytest.mark.parametrize("c,o,h,k,stride,padding", [
+    (60, 16, 64, 3, 2, 1), (16, 32, 32, 3, 2, 1), (32, 64, 16, 3, 2, 1),
+    (64, 32, 16, 3, 1, 1), (32, 16, 32, 3, 1, 1), (16, 60, 64, 3, 1, 1),
+    (16, 32, 32, 1, 1, 0), (32, 32, 16, 1, 1, 0), (64, 32, 8, 1, 1, 0),
+    (32, 32, 8, 3, 1, 1), (32, 16, 8, 1, 1, 0), (16, 1, 8, 1, 1, 0),
+])
+def test_conv2d_matches_oracle_on_backbone_shapes(c, o, h, k, stride, padding):
+    # the encoder, decoder, pyramid and domain-classifier convs at batch 6
+    # on 64x64 scenes: large GEMMs as well as small ones
+    _conv2d_matches_oracle(np.random.default_rng(c * o + h), 6, c, o, h, h,
+                           k, stride, padding)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5),
+       st.integers(1, 9), st.integers(1, 9), st.integers(1, 7))
+@settings(max_examples=100, deadline=None)
+def test_upsample_backward_matches_reshape_sum(seed, n, c, h, w, factor):
+    rng = np.random.default_rng(seed)
+    t = Tensor(rng.normal(size=(n, c, h, w)), requires_grad=True)
+    g = rng.normal(size=(n, c, h * factor, w * factor)).astype(np.float32)
+    g[:, :, :factor] = -0.0
+    g[:, :, :factor, :factor] = 0.0
+    ad.upsample_nearest2d(t, factor).backward(g)
+    assert same_bits(t.grad, upsample_nearest2d_grad_reshape(g, factor))
 
 
 def test_bce_and_ce_gradients():

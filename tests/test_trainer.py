@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfadet import detect, hsi, trainer
 from sfadet.hsi import AnnotatedSample, HyperCube, HeldOutAnnotationError
 from sfadet.trainer import ConfigError, LossBreakdown, TrainConfig
+
+from oracles import same_bits, standardize_cube_two_pass
 
 
 def make_sample(rng, bands=6, size=16, image_id=0, held_out=False):
@@ -97,6 +100,15 @@ class TestStandardize:
     def test_constant_band_stays_finite(self):
         out = trainer.standardize_cube(np.full((2, 4, 4), 5.0, np.float32))
         assert np.all(np.isfinite(out))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 40),
+           st.integers(1, 40), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_two_pass_oracle(self, seed, bands, h, w, loc, scale):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(loc, scale, size=(bands, h, w)).astype(np.float32)
+        v[rng.integers(bands)] = np.float32(loc)   # one constant band
+        assert same_bits(trainer.standardize_cube(v), standardize_cube_two_pass(v))
 
 
 class TestTrainStep:
@@ -251,6 +263,28 @@ class TestCheckpointAndInfer:
         cube = HyperCube(rng.normal(size=(6, 16, 16)).astype(np.float32))
         dets = trainer.infer(state.params, 6, 1, [cube])
         assert len(dets[0]) == 0
+
+    def test_one_call_over_mixed_shapes_matches_per_cube_calls(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        state = trainer.init_state(quick_cfg(), 6, 1)
+        cubes = [HyperCube(rng.normal(size=(6, h, w)).astype(np.float32))
+                 for h, w in ((64, 64), (32, 96), (64, 64))]
+        alone = [trainer.infer(state.params, 6, 1, [c])[0] for c in cubes]
+        shapes = []
+        generate = detect.generate_anchors
+
+        def counted(level_shapes):
+            shapes.append(tuple(level_shapes))
+            return generate(level_shapes)
+
+        monkeypatch.setattr(detect, "generate_anchors", counted)
+        together = trainer.infer(state.params, 6, 1, cubes)
+        assert len(shapes) == 2
+        assert len(together) == len(cubes)
+        for a, b in zip(alone, together):
+            np.testing.assert_array_equal(a.boxes, b.boxes)
+            np.testing.assert_array_equal(a.scores, b.scores)
+            np.testing.assert_array_equal(a.classes, b.classes)
 
 
 class TestGrlDecoupling:
