@@ -8,6 +8,9 @@ casting back to float32 to keep Frobenius norms stable on wide cubes.
 Convolution unrolls its input once per call into channel-major columns, a
 (C*k*k, N*Ho*Wo) array whose column n*Ho*Wo + i is output position i of
 image n; the per-image GEMMs and the weight gradient read views of it.
+With ``upsample=2``, a 3x3 conv of the nearest-2x upsampled input runs as
+four 2x2 sub-pixel phase convs on the low-resolution input, one per
+output pixel phase, whose taps are sums of the 3x3 taps.
 """
 
 from __future__ import annotations
@@ -422,8 +425,15 @@ def _im2col(x, k, stride, padding):
     return cols.transpose(1, 0, 2), ho, wo
 
 
-def conv2d(x, w, b, stride=1, padding=0):
-    """Cross-correlation of NCHW input with OIkk weights plus per-channel bias."""
+def conv2d(x, w, b, stride=1, padding=0, upsample=1):
+    """Cross-correlation of NCHW input with OIkk weights plus per-channel bias.
+
+    ``upsample=2`` convolves the nearest-2x upsampled input, as
+    ``conv2d(upsample_nearest2d(x, 2), w, b, padding=1)`` does, without
+    building it; it takes a 3x3 kernel, stride 1 and padding 1 only.
+    """
+    if upsample not in (1, 2):
+        raise ValueError(f"conv2d: upsample must be 1 or 2, got {upsample!r}")
     n, c, h, wd = x.data.shape
     o, ci, k, k2 = w.data.shape
     if k != k2:
@@ -432,6 +442,15 @@ def conv2d(x, w, b, stride=1, padding=0):
         raise ShapeError(
             f"conv2d: input channels {x.data.shape} do not match weight {w.data.shape}"
         )
+    if upsample == 2:
+        if k != 3:
+            raise ShapeError(f"conv2d: upsample=2 needs a 3x3 kernel, got {k}x{k}")
+        if stride != 1:
+            raise ShapeError(f"conv2d: upsample=2 needs stride 1, got stride={stride}")
+        if padding != 1:
+            raise ShapeError(
+                f"conv2d: upsample=2 needs padding 1, got padding={padding}")
+        return _conv2d_up2(x, w, b)
     if h + 2 * padding < k or wd + 2 * padding < k:
         raise ShapeError(
             f"conv2d: spatial dims {x.data.shape} too small for kernel {k} "
@@ -471,6 +490,106 @@ def conv2d(x, w, b, stride=1, padding=0):
                        kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
             del gcols
             _acc(x, gx[:, :, padding:padding + h, padding:padding + wd])
+
+    return _node(out, (x, w, b), bw)
+
+
+def _fold3(v):
+    """Sub-pixel phase taps of a 3-tap last axis after nearest-2x
+    upsampling: (..., 3) -> (2, ..., 2). Phase 0 reads source offsets
+    (-1, 0) with taps (k0, k1 + k2); phase 1 reads (0, +1) with taps
+    (k0 + k1, k2)."""
+    f = np.empty((2,) + v.shape[:-1] + (2,), dtype=np.float32)
+    f[0, ..., 0] = v[..., 0]
+    f[0, ..., 1] = v[..., 1] + v[..., 2]
+    f[1, ..., 0] = v[..., 0] + v[..., 1]
+    f[1, ..., 1] = v[..., 2]
+    return f
+
+
+def _unfold3(f):
+    """Adjoint of :func:`_fold3`: (2, ..., 2) -> (..., 3)."""
+    v = np.empty(f.shape[1:-1] + (3,), dtype=np.float32)
+    v[..., 0] = f[0, ..., 0] + f[1, ..., 0]
+    v[..., 1] = f[0, ..., 1] + f[1, ..., 0]
+    v[..., 2] = f[0, ..., 1] + f[1, ..., 1]
+    return v
+
+
+def _conv2d_up2(x, w, b):
+    """3x3, padding-1 conv of the nearest-2x upsampled input, as four 2x2
+    phase convs on the low-resolution input (sub-pixel convolution).
+
+    Output pixel (2i + a, 2j + b) is phase (a, b): a 2x2 conv whose taps
+    are sums of the 3x3 taps (``_fold3`` on both axes), read at padded
+    rows i + a + t and columns j + b + s, t, s in {0, 1}. Each image's
+    padded (H+2, W+2) grid is flattened, and the phases are computed at
+    the H*(W+2) positions i*(W+2) + j, j < W+2, so that every im2col and
+    col2im run is one contiguous slice of it; the 2 extra columns per
+    row are dropped in the forward and get a zero output gradient.
+    """
+    n, c, h, wd = x.data.shape
+    o = w.data.shape[0]
+    wp = wd + 2
+    grid, m = (h + 2) * wp, h * wp
+    p = n * m
+    # wf[2a + b] is (O, C*2*2): phase (a, b)'s kernel, rows t, columns s
+    wf = _fold3(_fold3(w.data).swapaxes(-1, -2)).swapaxes(-1, -2)
+    wf = wf.reshape(4, o, 4 * c)
+    # 2 trailing zeros: the last row's extra positions read 2 past the grid
+    xpf = np.zeros((c, n, grid + 2), dtype=np.float32)
+    xp = xpf[:, :, :grid].reshape(c, n, h + 2, wp)
+    xp[:, :, 1:h + 1, 1:wd + 1] = x.data.transpose(1, 0, 2, 3)
+    s = xpf.strides
+    # cols[2a + b] is (C*2*2, N*H*(W+2)): phase (a, b)'s columns
+    cols = np.lib.stride_tricks.as_strided(
+        xpf,
+        shape=(2, 2, c, 2, 2, n, m),
+        strides=(wp * s[2], s[2], s[0], wp * s[2], s[2], s[1], s[2]),
+        writeable=False,
+    )
+    cols = np.ascontiguousarray(cols).reshape(4, 4 * c, p)
+    del xpf, xp
+    res = np.matmul(wf, cols).reshape(2, 2, o, n, h, wp)[..., :wd]
+    out = np.empty((n, o, 2 * h, 2 * wd), dtype=np.float32)
+    out6 = out.reshape(n, o, h, 2, wd, 2)
+    for a in range(2):
+        for bb in range(2):
+            out6[:, :, :, a, :, bb] = res[a, bb].transpose(1, 0, 2, 3)
+    del res, out6
+    out += b.data.reshape(o, 1, 1)
+
+    def bw(g):
+        if b.requires_grad:
+            _acc(b, g.reshape(n, o, 4 * h * wd).sum(axis=(0, 2)))
+        # g4[2a + b] is phase (a, b)'s output gradient, (O, N*H*(W+2))
+        g6 = g.reshape(n, o, h, 2, wd, 2)
+        g4 = np.empty((2, 2, o, n, h, wp), dtype=np.float32)
+        g4[..., wd:] = 0
+        for a in range(2):
+            for bb in range(2):
+                g4[a, bb, ..., :wd] = g6[:, :, :, a, :, bb].transpose(1, 0, 2, 3)
+        g4 = g4.reshape(4, o, p)
+        if w.requires_grad:
+            gwf = np.matmul(cols, g4.transpose(0, 2, 1)).transpose(0, 2, 1)
+            gwf = gwf.reshape(2, 2, o, c, 2, 2)
+            _acc(w, _unfold3(_unfold3(gwf.swapaxes(-1, -2)).swapaxes(-1, -2)))
+        if x.requires_grad:
+            gcols = np.matmul(wf.transpose(0, 2, 1), g4)
+            gcols = gcols.reshape(2, 2, c, 2, 2, n, m)
+            # 2x2 col2im on the flattened padded grid: the phase taps that
+            # read offset (r, q) are summed first, then added once
+            gxpf = np.zeros((c, n, grid + 2), dtype=np.float32)
+            for r in range(3):
+                for q in range(3):
+                    parts = [gcols[a, bb, :, r - a, q - bb]
+                             for a in range(max(0, r - 1), min(r, 1) + 1)
+                             for bb in range(max(0, q - 1), min(q, 1) + 1)]
+                    off = r * wp + q
+                    gxpf[:, :, off:off + m] += sum(parts[1:], parts[0])
+            del gcols
+            gxp = gxpf[:, :, :grid].reshape(c, n, h + 2, wp)
+            _acc(x, gxp[:, :, 1:h + 1, 1:wd + 1].transpose(1, 0, 2, 3))
 
     return _node(out, (x, w, b), bw)
 

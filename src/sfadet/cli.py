@@ -18,24 +18,10 @@ import numpy as np
 
 def _load_synth_config(path, seed=None):
     from .hsi import SynthConfig
+    from .trainer import parse_config
 
-    cfg = SynthConfig()
-    if path:
-        kv = {}
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                k, v = line.split("=", 1)
-                kv[k.strip()] = v.strip()
-        fields = {f.name: f.type for f in dataclasses.fields(SynthConfig)}
-        for k, v in kv.items():
-            if k not in fields:
-                raise ValueError(f"{path}: unknown synth config key {k!r}")
-            cur = getattr(cfg, k)
-            setattr(cfg, k, type(cur)(float(v)) if isinstance(cur, (int, float))
-                    else v)
+    cfg = SynthConfig(**parse_config(path, SynthConfig, "synth config")
+                      if path else {})
     if seed is not None:
         cfg.seed = seed
     return cfg

@@ -61,7 +61,7 @@ def init_ssam(in_bands, rng):
     for i, c in enumerate(ENC_CHANNELS, start=1):
         t[f"enc{i}.w"], t[f"enc{i}.b"] = _conv_init(rng, c, c_prev, 3)
         c_prev = c
-    # decoder mirrors: upsample + conv
+    # decoder mirrors: nearest-2x upsample + 3x3 conv
     dec_out = (ENC_CHANNELS[1], ENC_CHANNELS[0], in_bands)
     c_prev = ENC_CHANNELS[2]
     for i, c in enumerate(dec_out, start=1):
@@ -104,12 +104,10 @@ def ssam_forward(batch: Tensor, params: SsamParams, grl_scale=-0.5,
 
     recon = None
     if with_decoder:
-        d = ad.upsample_nearest2d(e3, 2)
-        d = ad.relu(ad.conv2d(d, t["dec1.w"], t["dec1.b"], stride=1, padding=1))
-        d = ad.upsample_nearest2d(d, 2)
-        d = ad.relu(ad.conv2d(d, t["dec2.w"], t["dec2.b"], stride=1, padding=1))
-        d = ad.upsample_nearest2d(d, 2)
-        recon = ad.conv2d(d, t["dec3.w"], t["dec3.b"], stride=1, padding=1)
+        # each decoder layer is a nearest-2x upsample and a 3x3 conv, fused
+        d = ad.relu(ad.conv2d(e3, t["dec1.w"], t["dec1.b"], padding=1, upsample=2))
+        d = ad.relu(ad.conv2d(d, t["dec2.w"], t["dec2.b"], padding=1, upsample=2))
+        recon = ad.conv2d(d, t["dec3.w"], t["dec3.b"], padding=1, upsample=2)
 
     # feature pyramid: lateral 1x1, top-down nearest-neighbor merge, 3x3 smooth
     l3 = ad.conv2d(e3, t["lat3.w"], t["lat3.b"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -66,12 +66,6 @@ class TrainConfig:
             raise ConfigError("lambda must lie in (0, 1)")
 
 
-_BOOL_FIELDS = {"sacm_normalize"}
-_INT_FIELDS = {"iterations", "batch_size", "seed", "proposals_train",
-               "proposals_infer"}
-_STR_FIELDS = {"ablation", "target_rpn"}
-
-
 def save_config(cfg: TrainConfig, path):
     with open(path, "w") as f:
         for k, v in asdict(cfg).items():
@@ -79,33 +73,47 @@ def save_config(cfg: TrainConfig, path):
             f.write(f"{key}={v}\n")
 
 
-def load_config(path, **overrides) -> TrainConfig:
-    """Parse a flat key=value config file; unknown keys are errors."""
-    kv = {}
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+
+def parse_config(path, cls, what="config", keys=None) -> dict:
+    """Keyword arguments for dataclass ``cls`` from a flat key=value file.
+
+    Blank lines and ``#`` comments are skipped. ``keys`` maps field names
+    to their names in the file. A value takes the type of its field's
+    default; a bool is one of true/false/1/0/yes/no. Every error is a
+    one-line ``ConfigError`` that starts with ``path:line``.
+    """
+    names = {(keys or {}).get(f.name, f.name): f.name for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
     with open(path) as f:
         for ln, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
-    known = {("lambda" if f == "lam" else f) for f in TrainConfig.__dataclass_fields__}
-    for k in kv:
-        if k not in known:
-            raise ConfigError(f"{path}: unknown config key {k!r}")
-    args = {}
-    for k, v in kv.items():
-        f = "lam" if k == "lambda" else k
-        if f in _BOOL_FIELDS:
-            args[f] = v.lower() in ("1", "true", "yes")
-        elif f in _INT_FIELDS:
-            args[f] = int(v)
-        elif f in _STR_FIELDS:
-            args[f] = v
-        else:
-            args[f] = float(v)
+            where = f"{path}:{ln}"
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise ConfigError(f"{where}: expected key=value, got {line!r}")
+            if key not in names:
+                raise ConfigError(f"{where}: unknown {what} key {key!r}")
+            kind = type(defaults[names[key]])
+            try:
+                kwargs[names[key]] = (_BOOLS[value.lower()] if kind is bool
+                                      else kind(value))
+            except (KeyError, ValueError):
+                want = ("one of true/false/1/0/yes/no" if kind is bool
+                        else kind.__name__)
+                raise ConfigError(f"{where}: {key} must be {want}, "
+                                  f"got {value!r}") from None
+    return kwargs
+
+
+def load_config(path, **overrides) -> TrainConfig:
+    """Parse a flat key=value config file; unknown keys are errors."""
+    args = parse_config(path, TrainConfig, keys={"lam": "lambda"})
     args.update(overrides)
     return TrainConfig(**args)
 

@@ -66,6 +66,37 @@ def conv2d_f64(x, w, b, stride=1, pad=0):
     return out + b[None, :, None, None]
 
 
+def conv2d_f64_grads(x, w, g, stride=1, pad=0):
+    """Float64 input and weight gradients of ``conv2d_f64`` for an output
+    gradient ``g`` (the bias gradient is ``g.sum(axis=(0, 2, 3))``)."""
+    n, c, h, ww = x.shape
+    o, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape)
+    for i in range(kh):
+        for j in range(kw):
+            win = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            gw[:, :, i, j] = np.einsum("nohw,nchw->oc", g, win)
+            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += (
+                np.einsum("nohw,oc->nchw", g, w[:, :, i, j]))
+    return gxp[:, :, pad:pad + h, pad:pad + ww], gw
+
+
+def conv2d_up2_f64(x, w, b, g=None):
+    """``conv2d_f64`` with padding 1 on the nearest-2x upsampled input.
+    With an output gradient ``g``, returns (out, gx, gw, gb)."""
+    up = x.repeat(2, axis=2).repeat(2, axis=3)
+    out = conv2d_f64(up, w, b, 1, 1)
+    if g is None:
+        return out
+    gup, gw = conv2d_f64_grads(up, w, g, 1, 1)
+    n, c, h, ww = x.shape
+    gx = gup.reshape(n, c, h, 2, ww, 2).sum(axis=(3, 5))
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
 _AE_LAYERS = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sfadet import autodiff as ad
 from sfadet.autodiff import Tensor
 
-from oracles import (check_grad, conv2d_batch_major, roi_pool_loops,
-                     same_bits, upsample_nearest2d_grad_reshape)
+from oracles import (check_grad, conv2d_batch_major, conv2d_up2_f64,
+                     roi_pool_loops, same_bits, upsample_nearest2d_grad_reshape)
 
 
 def randn(rng, *shape):
@@ -56,6 +56,23 @@ class TestConv2d:
         out = ad.conv2d(x, Tensor(np.ones((1, 1, 3, 3))), Tensor([0.0]),
                         stride=2, padding=1)
         assert out.shape == (1, 1, 4, 5)
+
+    @pytest.mark.parametrize("factor", [0, 3, 2.5, None])
+    def test_upsample_factor_rejected(self, factor):
+        x = Tensor(np.ones((1, 1, 4, 4)))
+        with pytest.raises(ValueError, match="upsample must be 1 or 2"):
+            ad.conv2d(x, Tensor(np.ones((1, 1, 3, 3))), Tensor([0.0]),
+                      padding=1, upsample=factor)
+
+    @pytest.mark.parametrize("k,stride,padding,cause", [
+        (1, 1, 1, "3x3 kernel, got 1x1"), (3, 2, 1, "stride=2"),
+        (3, 1, 0, "padding=0"), (3, 1, 2, "padding=2")])
+    def test_upsample_needs_3x3_stride_1_padding_1(self, k, stride, padding,
+                                                   cause):
+        x = Tensor(np.ones((1, 1, 4, 4)))
+        with pytest.raises(ad.ShapeError, match=cause):
+            ad.conv2d(x, Tensor(np.ones((1, 1, k, k))), Tensor([0.0]),
+                      stride=stride, padding=padding, upsample=2)
 
 
 class TestPrimitives:
@@ -183,17 +200,23 @@ def test_primitive_gradients_match_finite_differences(name):
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_conv2d_gradients(which):
     rng = np.random.default_rng(7)
-    for trial in range(5):
-        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32) * 0.5
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32) * 0.3
-        b = rng.normal(size=(4,)).astype(np.float32)
-        check_grad(
-            lambda xt, wt, bt: ad.frobenius_sq(
-                ad.conv2d(xt, wt, bt, stride=2, padding=1)
-            ),
-            [x, w, b],
-            which=which,
-        )
+    # the upsampling case gets a smaller, non-square input: its float32
+    # loss sums a 4x larger output, and the finite differences' rounding
+    # noise grows with it (the unfused upsample + conv shows the same)
+    for xshape, stride, padding, upsample in (((2, 3, 6, 6), 2, 1, 1),
+                                              ((1, 3, 4, 5), 1, 1, 2)):
+        for trial in range(5):
+            x = rng.normal(size=xshape).astype(np.float32) * 0.5
+            w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32) * 0.3
+            b = rng.normal(size=(4,)).astype(np.float32)
+            check_grad(
+                lambda xt, wt, bt: ad.frobenius_sq(
+                    ad.conv2d(xt, wt, bt, stride=stride, padding=padding,
+                              upsample=upsample)
+                ),
+                [x, w, b],
+                which=which,
+            )
 
 
 @pytest.mark.parametrize("op", ["avg", "max", "upsample"])
@@ -284,6 +307,48 @@ def test_conv2d_matches_oracle_on_backbone_shapes(c, o, h, k, stride, padding):
     # on 64x64 scenes: large GEMMs as well as small ones
     _conv2d_matches_oracle(np.random.default_rng(c * o + h), 6, c, o, h, h,
                            k, stride, padding)
+
+
+def _max_rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-30)
+
+
+def _conv2d_up2_matches_unfused_and_f64(rng, n, c, o, h, w):
+    x = randn(rng, n, c, h, w)
+    wt = randn(rng, o, c, 3, 3)
+    b = randn(rng, o)
+    g = randn(rng, n, o, 2 * h, 2 * w)
+    got, ref = [], []
+    for fused, res in ((True, got), (False, ref)):
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+        if fused:
+            out = ad.conv2d(tx, tw, tb, padding=1, upsample=2)
+        else:
+            out = ad.conv2d(ad.upsample_nearest2d(tx, 2), tw, tb, padding=1)
+        out.backward(g)
+        res += [out.data, tx.grad, tw.grad, tb.grad]
+    f64 = conv2d_up2_f64(*(a.astype(np.float64) for a in (x, wt, b, g)))
+    for name, a, r, r64 in zip(("out", "gx", "gw", "gb"), got, ref, f64):
+        assert a.shape == r.shape == r64.shape and a.dtype == np.float32
+        assert _max_rel_err(a, r) <= 1e-5, name
+        assert _max_rel_err(a, r64) <= 1e-5, name
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.integers(1, 20),
+       st.integers(1, 20), st.integers(1, 12), st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_conv2d_upsample_matches_unfused_and_f64(seed, n, c, o, h, dw):
+    # the fused nearest-2x upsample + 3x3 conv against the two-op float32
+    # path and the float64 oracle: forward, gx, gw and gb, with H != W
+    _conv2d_up2_matches_unfused_and_f64(np.random.default_rng(seed), n, c, o,
+                                        h, h + dw)
+
+
+@pytest.mark.parametrize("c,o,h", [(64, 32, 8), (32, 16, 16), (16, 60, 32)])
+def test_conv2d_upsample_on_decoder_shapes(c, o, h):
+    # dec1, dec2 and dec3 at batch 6 on 64x64, 60-band scenes
+    _conv2d_up2_matches_unfused_and_f64(np.random.default_rng(c * o + h), 6,
+                                        c, o, h, h)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5),

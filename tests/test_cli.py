@@ -74,6 +74,20 @@ class TestGenSynth:
                    "--out", str(tmp_path / "o")) == 1
         assert "unknown synth config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,cause", [
+        ("just some words", "expected key=value"),
+        ("image_size=64.5", "image_size must be int"),
+        ("noise_source=loud", "noise_source must be float")])
+    def test_bad_config_line_names_path_and_line(self, tmp_path, capsys, line,
+                                                 cause):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# synthetic scenes\nnum_source=3\n{line}\n")
+        assert run("gen-synth", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: ") and cause in err
+        assert err.count("\n") == 1
+
 
 class TestBandMatch:
     def test_identity_keeps_payload(self, tmp_path):

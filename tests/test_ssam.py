@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfadet import autodiff as ad
 from sfadet import ssam
@@ -16,7 +17,11 @@ def params():
 
 
 def batch(rng, n=1, l=4, s=16):
-    return Tensor(rng.normal(size=(n, l, s, s)).astype(np.float32))
+    return batch_hw(rng, n, l, s, s)
+
+
+def batch_hw(rng, n, l, h, w):
+    return Tensor(rng.normal(size=(n, l, h, w)).astype(np.float32))
 
 
 class TestForwardShapes:
@@ -29,6 +34,20 @@ class TestForwardShapes:
             (2, 32, 16, 16), (2, 32, 8, 8), (2, 32, 4, 4)
         ]
         assert out.domain_logit.shape == (2,)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 5),
+           st.integers(1, 6), st.integers(1, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_reconstruction_keeps_input_shape(self, seed, n, bands, h8, dw8):
+        # any H != W that are multiples of 8, through the fused decoder
+        rng = np.random.default_rng(seed)
+        h, w = 8 * h8, 8 * (h8 + dw8)
+        p = ssam.init_ssam(bands, rng)
+        x = batch_hw(rng, n, bands, h, w)
+        out = ssam.ssam_forward(x, p, with_classifier=False)
+        assert out.reconstruction.shape == (n, bands, h, w)
+        assert out.bottleneck.shape == (n, 64, h // 8, w // 8)
+        assert np.isfinite(out.reconstruction.data).all()
 
     def test_indivisible_dims_rejected(self, params):
         rng = np.random.default_rng(1)

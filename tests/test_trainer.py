@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,35 @@ class TestConfig:
         path.write_text("just some words\n")
         with pytest.raises(ConfigError):
             trainer.load_config(path)
+
+    def test_errors_name_path_and_line(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        for text, cause in (("tau=0.1\nbatch_size=two\n", "batch_size must be int"),
+                            ("# c\n\nlr=fast\n", "lr must be float"),
+                            ("tau=0.1\nlam=0.3\n", "unknown config key 'lam'"),
+                            ("tau=0.1\njust some words\n", "expected key=value")):
+            path.write_text(text)
+            with pytest.raises(ConfigError) as err:
+                trainer.load_config(path)
+            line = f"{path}:{text.count(chr(10))}: "
+            assert str(err.value).startswith(line) and cause in str(err.value)
+
+    @pytest.mark.parametrize("value", ["maybe", "on", "", "2"])
+    def test_bad_bool_rejected(self, tmp_path, value):
+        # these once parsed as False without a word
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"sacm_normalize={value}\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}:1: sacm_normalize")):
+            trainer.load_config(path)
+
+    @pytest.mark.parametrize("value,want", [
+        ("true", True), ("True", True), ("1", True), ("YES", True),
+        ("false", False), ("0", False), ("no", False)])
+    def test_bool_spellings(self, tmp_path, value, want):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"sacm_normalize={value}\n")
+        assert trainer.load_config(path).sacm_normalize is want
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
