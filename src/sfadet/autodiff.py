@@ -59,37 +59,11 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this node.
@@ -218,16 +192,6 @@ def relu(a):
     return _node(out, (a,), bw)
 
 
-def sigmoid(a):
-    out = 1.0 / (1.0 + np.exp(-a.data.astype(np.float64)))
-    out32 = out.astype(np.float32)
-
-    def bw(g):
-        _acc(a, g * (out32 * (1.0 - out32)))
-
-    return _node(out32, (a,), bw)
-
-
 def softplus(a):
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
@@ -235,44 +199,6 @@ def softplus(a):
     def bw(g):
         s = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
         _acc(a, g * s.astype(np.float32))
-
-    return _node(out, (a,), bw)
-
-
-def exp(a):
-    out = np.exp(a.data)
-
-    def bw(g):
-        _acc(a, g * out)
-
-    return _node(out, (a,), bw)
-
-
-def log(a):
-    if np.any(a.data <= 0):
-        raise ValueError("log: requires strictly positive inputs")
-    out = np.log(a.data)
-
-    def bw(g):
-        _acc(a, g / a.data)
-
-    return _node(out, (a,), bw)
-
-
-def absolute(a):
-    out = np.abs(a.data)
-
-    def bw(g):
-        _acc(a, g * np.sign(a.data))
-
-    return _node(out, (a,), bw)
-
-
-def square(a):
-    out = a.data * a.data
-
-    def bw(g):
-        _acc(a, g * (2.0 * a.data))
 
     return _node(out, (a,), bw)
 

@@ -157,11 +157,9 @@ def cmd_gram(args):
     if args.checkpoint:
         params, in_bands, _ = trainer.load_checkpoint(args.checkpoint)
         cube = hsi.match_bands(cube, in_bands)
-        sp = ssam.SsamParams(in_bands=in_bands)
-        sp.tensors = params
         from .autodiff import Tensor
         batch = Tensor(trainer.standardize_cube(cube.values)[None])
-        fwd = ssam.ssam_forward(batch, sp, with_decoder=False,
+        fwd = ssam.ssam_forward(batch, params, with_decoder=False,
                                 with_classifier=False)
         g = sacm.gram_values(fwd.bottleneck.data)
     else:

@@ -243,7 +243,13 @@ def load_annotations(path):
     if not isinstance(doc, dict) or "images" not in doc:
         raise AnnotationError(f"{path}: missing 'images' key")
     by_img = {img["id"]: (img, [], []) for img in doc["images"]}
-    for a in doc.get("annotations", []):
+    for i, a in enumerate(doc.get("annotations", [])):
+        where = f"{path}: annotation {a.get('id', f'#{i}')}"
+        for key in ("image_id", "bbox", "category_id"):
+            if key not in a:
+                raise AnnotationError(f"{where} has no {key!r} key")
+        if a["image_id"] not in by_img:
+            raise AnnotationError(f"{where}: unknown image_id {a['image_id']!r}")
         img, boxes, classes = by_img[a["image_id"]]
         x, y, w, h = a["bbox"]
         if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > img["width"] or y + h > img["height"]:

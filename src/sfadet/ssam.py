@@ -9,7 +9,7 @@ domain losses. Checkpoints use the flat "SFAW" binary format.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,26 +37,16 @@ def _conv_init(rng, out_c, in_c, k):
     return w, b
 
 
-@dataclass
-class SsamParams:
-    """All learnable tensors of the backbone, keyed by name."""
-
-    tensors: dict = field(default_factory=dict)
-    in_bands: int = 0
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-    def items(self):
-        return self.tensors.items()
+class Params(dict):
+    """Every learnable tensor of the model, keyed by layer name
+    (``enc1.w``, ``dec3.b``, ``rpn.conv.w``, ``roi.fc.w``, ...)."""
 
     def parameters(self):
-        return list(self.tensors.values())
+        return list(self.values())
 
 
 def init_ssam(in_bands, rng):
-    p = SsamParams(in_bands=in_bands)
-    t = p.tensors
+    t = Params()
     c_prev = in_bands
     for i, c in enumerate(ENC_CHANNELS, start=1):
         t[f"enc{i}.w"], t[f"enc{i}.b"] = _conv_init(rng, c, c_prev, 3)
@@ -73,7 +63,7 @@ def init_ssam(in_bands, rng):
     t["dc1.w"], t["dc1.b"] = _conv_init(rng, DC_HIDDEN, FPN_WIDTH, 1)
     t["dc2.w"], t["dc2.b"] = _conv_init(rng, DC_HIDDEN, DC_HIDDEN, 1)
     t["dc3.w"], t["dc3.b"] = _conv_init(rng, 1, DC_HIDDEN, 1)
-    return p
+    return t
 
 
 @dataclass
@@ -84,7 +74,7 @@ class SsamOutput:
     domain_logit: Tensor     # one scalar per batch element
 
 
-def ssam_forward(batch: Tensor, params: SsamParams, grl_scale=-0.5,
+def ssam_forward(batch: Tensor, params: Params, grl_scale=-0.5,
                  with_decoder=True, with_classifier=True) -> SsamOutput:
     """Run the backbone on an (N, L, H, W) batch."""
     n, l, h, w = batch.shape
@@ -93,29 +83,35 @@ def ssam_forward(batch: Tensor, params: SsamParams, grl_scale=-0.5,
             f"spatial dims {h}x{w} must be divisible by {STRIDE_TOTAL}; "
             f"pad or crop the cubes first"
         )
-    if l != params.in_bands:
-        raise ad.ShapeError(
-            f"batch has {l} bands but the backbone expects {params.in_bands}"
-        )
-    t = params.tensors
-    e1 = ad.relu(ad.conv2d(batch, t["enc1.w"], t["enc1.b"], stride=2, padding=1))
-    e2 = ad.relu(ad.conv2d(e1, t["enc2.w"], t["enc2.b"], stride=2, padding=1))
-    e3 = ad.relu(ad.conv2d(e2, t["enc3.w"], t["enc3.b"], stride=2, padding=1))
+    in_bands = params["enc1.w"].shape[1]
+    if l != in_bands:
+        raise ad.ShapeError(f"batch has {l} bands but the backbone expects {in_bands}")
+    e1 = ad.relu(ad.conv2d(batch, params["enc1.w"], params["enc1.b"],
+                           stride=2, padding=1))
+    e2 = ad.relu(ad.conv2d(e1, params["enc2.w"], params["enc2.b"],
+                           stride=2, padding=1))
+    e3 = ad.relu(ad.conv2d(e2, params["enc3.w"], params["enc3.b"],
+                           stride=2, padding=1))
 
     recon = None
     if with_decoder:
         # each decoder layer is a nearest-2x upsample and a 3x3 conv, fused
-        d = ad.relu(ad.conv2d(e3, t["dec1.w"], t["dec1.b"], padding=1, upsample=2))
-        d = ad.relu(ad.conv2d(d, t["dec2.w"], t["dec2.b"], padding=1, upsample=2))
-        recon = ad.conv2d(d, t["dec3.w"], t["dec3.b"], padding=1, upsample=2)
+        d = ad.relu(ad.conv2d(e3, params["dec1.w"], params["dec1.b"],
+                              padding=1, upsample=2))
+        d = ad.relu(ad.conv2d(d, params["dec2.w"], params["dec2.b"],
+                              padding=1, upsample=2))
+        recon = ad.conv2d(d, params["dec3.w"], params["dec3.b"],
+                          padding=1, upsample=2)
 
     # feature pyramid: lateral 1x1, top-down nearest-neighbor merge, 3x3 smooth
-    l3 = ad.conv2d(e3, t["lat3.w"], t["lat3.b"])
-    l2 = ad.add(ad.conv2d(e2, t["lat2.w"], t["lat2.b"]), ad.upsample_nearest2d(l3, 2))
-    l1 = ad.add(ad.conv2d(e1, t["lat1.w"], t["lat1.b"]), ad.upsample_nearest2d(l2, 2))
-    p1 = ad.conv2d(l1, t["out1.w"], t["out1.b"], padding=1)
-    p2 = ad.conv2d(l2, t["out2.w"], t["out2.b"], padding=1)
-    p3 = ad.conv2d(l3, t["out3.w"], t["out3.b"], padding=1)
+    l3 = ad.conv2d(e3, params["lat3.w"], params["lat3.b"])
+    l2 = ad.add(ad.conv2d(e2, params["lat2.w"], params["lat2.b"]),
+                ad.upsample_nearest2d(l3, 2))
+    l1 = ad.add(ad.conv2d(e1, params["lat1.w"], params["lat1.b"]),
+                ad.upsample_nearest2d(l2, 2))
+    p1 = ad.conv2d(l1, params["out1.w"], params["out1.b"], padding=1)
+    p2 = ad.conv2d(l2, params["out2.w"], params["out2.b"], padding=1)
+    p3 = ad.conv2d(l3, params["out3.w"], params["out3.b"], padding=1)
     fpn = [p1, p2, p3]
 
     logit = None
@@ -125,13 +121,12 @@ def ssam_forward(batch: Tensor, params: SsamParams, grl_scale=-0.5,
     return SsamOutput(recon, e3, fpn, logit)
 
 
-def classify_domain(fpn_level3: Tensor, params: SsamParams, grl_scale=-0.5) -> Tensor:
+def classify_domain(fpn_level3: Tensor, params: Params, grl_scale=-0.5) -> Tensor:
     """Gradient-reversed 1x1 conv stack pooled to one logit per image."""
-    t = params.tensors
     x = ad.grad_reverse(fpn_level3, grl_scale)
-    x = ad.relu(ad.conv2d(x, t["dc1.w"], t["dc1.b"]))
-    x = ad.relu(ad.conv2d(x, t["dc2.w"], t["dc2.b"]))
-    x = ad.conv2d(x, t["dc3.w"], t["dc3.b"])
+    x = ad.relu(ad.conv2d(x, params["dc1.w"], params["dc1.b"]))
+    x = ad.relu(ad.conv2d(x, params["dc2.w"], params["dc2.b"]))
+    x = ad.conv2d(x, params["dc3.w"], params["dc3.b"])
     n = x.shape[0]
     return ad.reshape(ad.tmean(x, axis=(2, 3)), (n,))
 
@@ -190,28 +185,34 @@ def save_params(named_tensors, path):
 
 
 def load_params(path):
-    """Read an SFAW file back into {name: Tensor} (requires_grad=True)."""
+    """Read an SFAW file back into a Params of tensors with requires_grad."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    version, count = struct.unpack_from("<HI", raw, 4)
+    off = 4
+
+    view = memoryview(raw)
+
+    def take(size, what):
+        nonlocal off
+        if len(raw) - off < size:
+            raise CheckpointError(f"{path}: truncated in {what}: needs "
+                                  f"{off + size} bytes, has {len(raw)}")
+        off += size
+        return view[off - size:off]
+
+    version, count = struct.unpack("<HI", take(6, "the header"))
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 4 + struct.calcsize("<HI")
-    out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + nlen].decode()
-        off += nlen
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
+    out = Params()
+    for i in range(count):
+        (nlen,) = struct.unpack("<H", take(2, f"record {i}"))
+        name = bytes(take(nlen, f"the name of record {i}")).decode()
+        (rank,) = struct.unpack("<B", take(1, f"record {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r}"))
         n = int(np.prod(dims)) if rank else 1
-        vals = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
-        off += 4 * n
+        vals = np.frombuffer(take(4 * n, f"the values of {name!r}"), dtype="<f4")
         out[name] = Tensor(vals.reshape(dims).copy(), requires_grad=True)
     if off != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after {count} records")

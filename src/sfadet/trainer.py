@@ -64,6 +64,12 @@ class TrainConfig:
             raise ConfigError("loss weights must be non-negative")
         if not (0.0 < self.lam < 1.0):
             raise ConfigError("lambda must lie in (0, 1)")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.iterations < 0:
+            raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
+        if not (self.lr >= 0 and np.isfinite(self.lr)):
+            raise ConfigError(f"lr must be non-negative and finite, got {self.lr}")
 
 
 def save_config(cfg: TrainConfig, path):
@@ -155,7 +161,7 @@ def _batch_tensor(cubes):
 @dataclass
 class TrainState:
     cfg: TrainConfig
-    params: dict                  # name -> Tensor (backbone + heads)
+    params: ssam.Params           # name -> Tensor (backbone + heads)
     num_classes: int
     in_bands: int
     optimizer: ad.Adam
@@ -166,10 +172,8 @@ class TrainState:
 
 def init_state(cfg: TrainConfig, in_bands, num_classes) -> TrainState:
     rng = np.random.default_rng(cfg.seed)
-    sp = ssam.init_ssam(in_bands, rng)
-    dp = detect.init_detect_params(num_classes, rng)
-    params = dict(sp.tensors)
-    params.update(dp)
+    params = ssam.init_ssam(in_bands, rng)
+    params.update(detect.init_detect_params(num_classes, rng))
     active = _active_params(params, cfg)
     opt = ad.Adam(active, lr=cfg.lr)
     return TrainState(cfg=cfg, params=params, num_classes=num_classes,
@@ -183,12 +187,6 @@ def _active_params(params, cfg):
         skip_prefixes = ("dec", "dc")
     return [t for k, t in sorted(params.items())
             if not k.startswith(skip_prefixes)]
-
-
-def _ssam_params_view(state):
-    p = ssam.SsamParams(in_bands=state.in_bands)
-    p.tensors = state.params
-    return p
 
 
 def _anchors_for(cache, h, w):
@@ -219,7 +217,6 @@ def _per_image_rpn_loss(anchors, logits, deltas, gt_boxes_list, rng):
 def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown:
     """One optimization step of the two-flow procedure."""
     cfg = state.cfg
-    sp = _ssam_params_view(state)
     use_ae = cfg.ablation != "no_ssam_sacm"
     use_sacm = cfg.ablation == "full"
 
@@ -227,9 +224,9 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
     tgt = _batch_tensor(target_cubes)
     src_hw, tgt_hw = src.shape[2:], tgt.shape[2:]
 
-    src_out = ssam.ssam_forward(src, sp, cfg.grl_scale,
+    src_out = ssam.ssam_forward(src, state.params, cfg.grl_scale,
                                 with_decoder=use_ae, with_classifier=use_ae)
-    tgt_out = ssam.ssam_forward(tgt, sp, cfg.grl_scale,
+    tgt_out = ssam.ssam_forward(tgt, state.params, cfg.grl_scale,
                                 with_decoder=use_ae, with_classifier=use_ae)
 
     terms = {}
@@ -398,13 +395,11 @@ def infer(params, in_bands, num_classes, cubes, cfg: TrainConfig = None):
                 f"cube has {c.bands} bands but the model expects {in_bands}; "
                 f"run band matching first"
             )
-    sp = ssam.SsamParams(in_bands=in_bands)
-    sp.tensors = params
     anchor_cache = {}
     out = []
     for cube in cubes:
         batch = _batch_tensor([cube])
-        fwd = ssam.ssam_forward(batch, sp, with_decoder=False,
+        fwd = ssam.ssam_forward(batch, params, with_decoder=False,
                                 with_classifier=False)
         h, w = batch.shape[2], batch.shape[3]
         anchors = _anchors_for(anchor_cache, h, w)

@@ -49,21 +49,27 @@ def check_grad(build_loss, arrays, which=0, h=1e-3, rtol=1e-3):
 
 
 def conv2d_f64(x, w, b, stride=1, pad=0):
-    """Plain float64 convolution (im2col over a strided view)."""
+    """Plain float64 convolution: an im2col and one GEMM.
+
+    A stack of B weights (B, O, C, k, k) or of B biases (B, O) gives a
+    (B, N, O, Ho, Wo) output, one convolution per stacked value.
+    """
     n, c, h, ww = x.shape
-    o, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    o, _, kh, kw = w.shape[-4:]
+    xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + ww] = x
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (ww + 2 * pad - kw) // stride + 1
     sn, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        shape=(c, kh, kw, n, oh, ow),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
         writeable=False,
     )
-    out = np.einsum("nchwij,ocij->nohw", windows, w, optimize=True)
-    return out + b[None, :, None, None]
+    cols = windows.reshape(c * kh * kw, n * oh * ow)
+    out = (w.reshape(-1, c * kh * kw) @ cols).reshape(*w.shape[:-4], o, n, oh, ow)
+    return np.swapaxes(out, -4, -3) + b[..., None, :, None, None]
 
 
 def conv2d_f64_grads(x, w, g, stride=1, pad=0):
@@ -100,21 +106,27 @@ def conv2d_up2_f64(x, w, b, g=None):
 _AE_LAYERS = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
 
 
-def recon_forward_f64(x, tensors, alpha=0.01, start="enc1", cache=None):
+def recon_forward_f64(x, tensors, alpha=0.01, start="enc1", cache=None,
+                      perturb=None):
     """Float64 re-implementation of the autoencoder + recon loss.
 
     Independent of the float32 engine; used as the finite-difference target
     so the numeric gradient is not drowned in single-precision noise.
     ``cache`` (from a previous call) holds per-layer inputs so that a sweep
     perturbing only layer ``start`` skips recomputing everything upstream.
+    ``perturb=(name, stack)`` replaces parameter ``name`` of layer ``start``
+    by each of the B values stacked along the leading axis of ``stack``;
+    the call then returns the B losses as an array. The layers after
+    ``start`` run once on all B outputs, batched.
     """
-    t = tensors
+    t = tensors if perturb is None else {**tensors, perturb[0]: perturb[1]}
     relu = lambda v: np.maximum(v, 0.0)
     up2 = lambda v: v.repeat(2, axis=2).repeat(2, axis=3)
     new_cache = {} if cache is None else None
     k = _AE_LAYERS.index(start)
     a = x if cache is None else cache[start]
     e3_term = None
+    nb = 1 if perturb is None else len(perturb[1])
     for i, name in enumerate(_AE_LAYERS):
         if i < k:
             continue
@@ -124,15 +136,19 @@ def recon_forward_f64(x, tensors, alpha=0.01, start="enc1", cache=None):
         if name.startswith("dec"):
             a = up2(a)
         a = conv2d_f64(a, t[f"{name}.w"], t[f"{name}.b"], stride, 1)
+        if a.ndim == 5:  # one output per stacked value: fold B into N
+            a = a.reshape(-1, *a.shape[2:])
         if name != "dec3":
             a = relu(a)
         if name == "enc3":
-            e3_term = alpha * np.sum(np.abs(a))
+            e3_term = alpha * np.abs(a).reshape(nb, -1).sum(axis=1)
     if e3_term is None:  # perturbation downstream of the bottleneck
         e3_term = cache["_e3_term"]
     elif new_cache is not None:
         new_cache["_e3_term"] = e3_term
-    loss = np.sum((a - x) ** 2) + e3_term
+    loss = np.sum((a.reshape(nb, -1) - x.reshape(1, -1)) ** 2, axis=1) + e3_term
+    if perturb is None:
+        loss = float(loss[0])
     if new_cache is not None:
         return loss, new_cache
     return loss

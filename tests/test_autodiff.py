@@ -2,7 +2,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sfadet import autodiff as ad
 from sfadet.autodiff import Tensor
@@ -76,9 +76,6 @@ class TestConv2d:
 
 
 class TestPrimitives:
-    def test_sigmoid_zero(self):
-        assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5
-
     def test_frobenius_sq_zero(self):
         assert float(ad.frobenius_sq(Tensor(np.zeros((3, 4)))).data) == 0.0
 
@@ -110,10 +107,6 @@ class TestPrimitives:
     def test_mul_shape_error_names_both_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"\(2, 3\) vs \(3, 2\)"):
             ad.mul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
-
-    def test_log_requires_positive(self):
-        with pytest.raises(ValueError):
-            ad.log(Tensor([0.0]))
 
 
 class TestGradReverse:
@@ -149,11 +142,11 @@ class TestGraphSemantics:
 
     def test_backward_twice_without_zero_errors(self):
         x = Tensor([1.0], requires_grad=True)
-        ad.tsum(ad.square(x)).backward()
+        ad.frobenius_sq(x).backward()
         with pytest.raises(ad.GradError):
-            ad.tsum(ad.square(x)).backward()
+            ad.frobenius_sq(x).backward()
         x.zero_grad()
-        ad.tsum(ad.square(x)).backward()  # fine after reset
+        ad.frobenius_sq(x).backward()  # fine after reset
 
     def test_no_grad_path_builds_no_tape(self):
         x = Tensor(np.ones(3))
@@ -162,17 +155,13 @@ class TestGraphSemantics:
 
 
 GRADCHECK_CASES = {
-    "add": lambda a, b: ad.tsum(ad.square(ad.add(a, b))),
-    "sub": lambda a, b: ad.tsum(ad.square(ad.sub(a, b))),
+    "add": lambda a, b: ad.frobenius_sq(ad.add(a, b)),
+    "sub": lambda a, b: ad.frobenius_sq(ad.sub(a, b)),
     "mul": lambda a, b: ad.tsum(ad.mul(a, b)),
     "matmul": lambda a, b: ad.frobenius_sq(ad.matmul(a, b)),
     "relu": lambda a, b: ad.tsum(ad.relu(ad.add(a, b))),
-    "sigmoid": lambda a, b: ad.tsum(ad.sigmoid(a)),
     "softplus": lambda a, b: ad.tsum(ad.softplus(a)),
-    "exp": lambda a, b: ad.tsum(ad.exp(a)),
-    "abs_": lambda a, b: ad.tsum(ad.absolute(a)),
-    "square": lambda a, b: ad.tsum(ad.square(a)),
-    "mean": lambda a, b: ad.tmean(ad.square(a)),
+    "mean": lambda a, b: ad.tmean(ad.mul(a, a)),
     "frobenius": lambda a, b: ad.frobenius_sq(a),
     "l1": lambda a, b: ad.l1_norm(a),
     "transpose": lambda a, b: ad.frobenius_sq(ad.transpose(a, (1, 0))),
@@ -188,9 +177,9 @@ def test_primitive_gradients_match_finite_differences(name):
     for trial in range(20):
         a = rng.normal(size=(3, 4)).astype(np.float32)
         b = rng.normal(size=(4, 3) if name == "matmul" else (3, 4)).astype(np.float32)
-        # keep the argument of abs/l1 (a) and of relu (a + b) away from
-        # the kink at 0
-        if name in ("abs_", "l1"):
+        # keep the argument of l1 (a) and of relu (a + b) away from the
+        # kink at 0
+        if name == "l1":
             a = a + np.sign(a) * 0.3
         if name == "relu":
             b = b + np.sign(a + b) * 0.3
@@ -327,16 +316,26 @@ def _conv2d_up2_matches_unfused_and_f64(rng, n, c, o, h, w):
             out = ad.conv2d(ad.upsample_nearest2d(tx, 2), tw, tb, padding=1)
         out.backward(g)
         res += [out.data, tx.grad, tw.grad, tb.grad]
-    f64 = conv2d_up2_f64(*(a.astype(np.float64) for a in (x, wt, b, g)))
-    for name, a, r, r64 in zip(("out", "gx", "gw", "gb"), got, ref, f64):
+    ins64 = [a.astype(np.float64) for a in (x, wt, b, g)]
+    f64 = conv2d_up2_f64(*ins64)
+    # a float32 sum rounds to within a few eps32 (1.2e-7) of the sum of
+    # the magnitudes of its terms, which the same oracle on |x|, |w|, |b|,
+    # |g| gives; so next to 1e-5 of the result, allow 1e-6 of that scale,
+    # which only matters for a sum that cancels (gb over a few dozen terms)
+    mag64 = conv2d_up2_f64(*(np.abs(a) for a in ins64))
+    for name, a, r, r64, m64 in zip(("out", "gx", "gw", "gb"), got, ref, f64,
+                                    mag64):
         assert a.shape == r.shape == r64.shape and a.dtype == np.float32
         assert _max_rel_err(a, r) <= 1e-5, name
-        assert _max_rel_err(a, r64) <= 1e-5, name
+        scale = max(np.abs(r64).max(), 0.1 * m64.max(), 1e-30)
+        assert np.abs(a - r64).max() <= 1e-5 * scale, name
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.integers(1, 20),
        st.integers(1, 20), st.integers(1, 12), st.integers(1, 6))
 @settings(max_examples=80, deadline=None)
+# gb here is 0.0072, a sum of 32 terms whose magnitudes sum to 25.6
+@example(seed=449, n=1, c=1, o=1, h=2, dw=2)
 def test_conv2d_upsample_matches_unfused_and_f64(seed, n, c, o, h, dw):
     # the fused nearest-2x upsample + 3x3 conv against the two-op float32
     # path and the float64 oracle: forward, gx, gw and gb, with H != W

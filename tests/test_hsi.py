@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +143,28 @@ class TestAnnotations:
         )
         with pytest.raises(hsi.AnnotationError):
             hsi.load_annotations(path)
+
+    @pytest.mark.parametrize("key", ["image_id", "bbox", "category_id"])
+    def test_missing_key_named(self, tmp_path, key):
+        ann = {"id": 5, "image_id": 0, "bbox": [1, 1, 2, 2], "category_id": 1}
+        del ann[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": [
+            {"id": 0, "file": "x", "width": 10, "height": 10, "bands": 1}],
+            "annotations": [ann]}))
+        with pytest.raises(hsi.AnnotationError,
+                           match=f"annotation 5 has no '{key}' key"):
+            hsi.load_annotations(path)
+
+    def test_unknown_image_id_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": [
+            {"id": 0, "file": "x", "width": 10, "height": 10, "bands": 1}],
+            "annotations": [{"id": 3, "image_id": 5, "bbox": [1, 1, 2, 2],
+                             "category_id": 1}]}))
+        with pytest.raises(hsi.AnnotationError) as err:
+            hsi.load_annotations(path)
+        assert str(err.value) == f"{path}: annotation 3: unknown image_id 5"
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

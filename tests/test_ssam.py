@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,8 +61,8 @@ class TestForwardShapes:
 
     def test_zero_classifier_gives_zero_logit(self, params):
         for k in ("dc1", "dc2", "dc3"):
-            params.tensors[f"{k}.w"].data[:] = 0
-            params.tensors[f"{k}.b"].data[:] = 0
+            params[f"{k}.w"].data[:] = 0
+            params[f"{k}.b"].data[:] = 0
         rng = np.random.default_rng(2)
         out = ssam.ssam_forward(batch(rng, 2), params)
         np.testing.assert_array_equal(out.domain_logit.data, [0.0, 0.0])
@@ -195,12 +196,14 @@ class TestClassifierGrl:
 
 
 class TestGradients:
+    CHUNK = 32   # perturbed elements per oracle call; bounds its memory
+
     def test_recon_loss_gradients_all_weights(self):
         rng = np.random.default_rng(9)
         params = ssam.init_ssam(4, rng)
         x = rng.normal(size=(1, 4, 8, 8)).astype(np.float32)
         x64 = x.astype(np.float64)
-        t64 = {k: v.data.astype(np.float64) for k, v in params.tensors.items()}
+        t64 = {k: v.data.astype(np.float64) for k, v in params.items()}
 
         out = ssam.ssam_forward(Tensor(x), params, with_classifier=False)
         loss = ssam.recon_loss(Tensor(x), out, alpha=0.01)
@@ -209,18 +212,25 @@ class TestGradients:
         # sanity: both forwards agree on the loss value
         assert float(loss.data) == pytest.approx(base, rel=1e-5)
 
+        # every element, as central differences: the +h and -h copies of
+        # CHUNK elements form one batch of perturbed values of the parameter
         h = 1e-5
         for name in [n for n in t64 if n.startswith(("enc", "dec"))]:
             layer = name.split(".")[0]
-            analytic = params.tensors[name].grad.astype(np.float64)
-            numeric = np.zeros_like(t64[name])
-            for idx in np.ndindex(t64[name].shape):
-                t64[name][idx] += h
-                fp = recon_forward_f64(x64, t64, start=layer, cache=cache)
-                t64[name][idx] -= 2 * h
-                fm = recon_forward_f64(x64, t64, start=layer, cache=cache)
-                t64[name][idx] += h
-                numeric[idx] = (fp - fm) / (2 * h)
+            analytic = params[name].grad.astype(np.float64)
+            flat = t64[name].ravel()
+            numeric = np.zeros(flat.size)
+            for lo in range(0, flat.size, self.CHUNK):
+                idx = np.arange(lo, min(lo + self.CHUNK, flat.size))
+                rows = np.arange(len(idx))
+                stack = np.tile(flat, (2 * len(idx), 1))
+                stack[rows, idx] += h
+                stack[rows + len(idx), idx] -= h
+                f = recon_forward_f64(x64, t64, start=layer, cache=cache,
+                                      perturb=(name, stack.reshape(
+                                          -1, *t64[name].shape)))
+                numeric[idx] = (f[:len(idx)] - f[len(idx):]) / (2 * h)
+            numeric = numeric.reshape(analytic.shape)
             scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-4)
             rel = np.abs(analytic - numeric).max() / scale
             assert rel <= 1e-3, f"{name}: rel err {rel:.2e}"
@@ -235,16 +245,29 @@ class TestGradients:
 class TestCheckpoint:
     def test_round_trip(self, params, tmp_path):
         path = tmp_path / "m.sfaw"
-        ssam.save_params(params.tensors, path)
+        ssam.save_params(params, path)
         back = ssam.load_params(path)
-        assert set(back) == set(params.tensors)
-        for k, t in params.tensors.items():
+        assert set(back) == set(params)
+        for k, t in params.items():
             np.testing.assert_array_equal(back[k].data, t.data)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sfaw"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ssam.CheckpointError):
+            ssam.load_params(path)
+
+    # 10 header bytes, then per record: name length (2), name, rank (1),
+    # dims (4 each), float32 values
+    @pytest.mark.parametrize("cut,where", [
+        (7, "in the header"), (13, "in the name of record 0"),
+        (-3, "in the values of")])
+    def test_truncated_file_names_path(self, params, tmp_path, cut, where):
+        path = tmp_path / "m.sfaw"
+        ssam.save_params(params, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ssam.CheckpointError,
+                           match=f"^{re.escape(str(path))}: truncated {where}"):
             ssam.load_params(path)
 
 

@@ -82,6 +82,18 @@ class TestConfig:
             line = f"{path}:{text.count(chr(10))}: "
             assert str(err.value).startswith(line) and cause in str(err.value)
 
+    @pytest.mark.parametrize("field,value,cause", [
+        ("batch_size", 0, "batch_size must be at least 1, got 0"),
+        ("batch_size", -1, "batch_size must be at least 1, got -1"),
+        ("iterations", -1, "iterations must be non-negative, got -1"),
+        ("lr", -1.0, "lr must be non-negative and finite, got -1.0"),
+        ("lr", float("nan"), "lr must be non-negative and finite, got nan"),
+        ("lr", float("inf"), "lr must be non-negative and finite, got inf")])
+    def test_impossible_values_rejected(self, field, value, cause):
+        # these once failed deep inside train(), or trained without a word
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("value", ["maybe", "on", "", "2"])
     def test_bad_bool_rejected(self, tmp_path, value):
         # these once parsed as False without a word
