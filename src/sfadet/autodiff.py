@@ -240,7 +240,9 @@ def tmean(a, axis=None, keepdims=False):
 
 def frobenius_sq(a):
     """Squared Frobenius norm: sum of squared entries, as a scalar tensor."""
-    out = np.float32(np.sum(a.data.astype(np.float64) ** 2))
+    # squared in place, so no second full-size float64 array is made
+    sq = a.data.astype(np.float64)
+    out = np.float32(np.sum(np.square(sq, out=sq)))
 
     def bw(g):
         _acc(a, (2.0 * np.asarray(g)) * a.data)
@@ -249,7 +251,8 @@ def frobenius_sq(a):
 
 
 def l1_norm(a):
-    out = np.float32(np.sum(np.abs(a.data.astype(np.float64))))
+    mag = a.data.astype(np.float64)
+    out = np.float32(np.sum(np.abs(mag, out=mag)))
 
     def bw(g):
         _acc(a, np.asarray(g) * np.sign(a.data))

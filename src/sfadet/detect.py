@@ -117,11 +117,13 @@ def decode_deltas(deltas, anchors_cxcywh):
 
 
 def generate_anchors(level_shapes):
-    """Anchor (cx, cy, w, h) arrays for each pyramid level.
+    """Anchor (cx, cy, w, h) rows of all pyramid levels, as one (A, 4) array.
 
     ``level_shapes`` is a list of (H, W) feature-map shapes for strides
     2/4/8. Each location gets one anchor per aspect ratio at the level's
-    base size (equal-area family).
+    base size (equal-area family). Rows run level by level, then row-major
+    over locations, then over aspect ratios: the order of
+    :func:`rpn_forward`'s outputs.
     """
     out = []
     for (h, w), stride, base in zip(level_shapes, STRIDES, BASE_SIZES):
@@ -137,7 +139,7 @@ def generate_anchors(level_shapes):
             anchors[..., k, 2] = aw
             anchors[..., k, 3] = ah
         out.append(anchors.reshape(-1, 4))
-    return out
+    return np.concatenate(out, axis=0)
 
 
 def levels_for_boxes(boxes_xywh):
@@ -229,10 +231,10 @@ def init_detect_params(num_classes, rng):
 
 
 def rpn_forward(fpn_levels, params):
-    """Per-level objectness logits and box deltas.
+    """Objectness logits and box deltas for every anchor of every level.
 
-    Returns (logits, deltas): lists of (N, H*W*A) and (N, H*W*A, 4) tensors
-    whose anchor order matches :func:`generate_anchors`.
+    Returns (logits, deltas): (N, A) and (N, A, 4) tensors whose anchor
+    order matches :func:`generate_anchors`.
     """
     if len(fpn_levels) != 3:
         raise ad.ShapeError("rpn_forward: expected 3 pyramid levels")
@@ -252,7 +254,7 @@ def rpn_forward(fpn_levels, params):
         )
         logits.append(obj)
         deltas.append(reg)
-    return logits, deltas
+    return ad.concat(logits, axis=1), ad.concat(deltas, axis=1)
 
 
 def assign_anchors(anchors_cxcywh, gt_xywh, pos_iou=0.7, neg_iou=0.3):
@@ -281,8 +283,8 @@ def rpn_loss(logits_flat, deltas_flat, anchors_cxcywh, gt_xywh, rng,
              num_samples=32, pos_fraction=0.5, pos_iou=0.7, neg_iou=0.3):
     """Sampled binary objectness + smooth-L1 box loss for one image.
 
-    ``logits_flat``/``deltas_flat`` are (A,) and (A, 4) tensors over the
-    concatenated per-level anchors.
+    ``logits_flat``/``deltas_flat`` are (A,) and (A, 4) tensors, one row
+    of :func:`rpn_forward`'s outputs.
     """
     a = len(anchors_cxcywh)
     labels, matched = assign_anchors(anchors_cxcywh, gt_xywh, pos_iou, neg_iou)
@@ -322,19 +324,15 @@ def rpn_loss(logits_flat, deltas_flat, anchors_cxcywh, gt_xywh, rng,
 
 def rpn_proposals(logits, deltas, anchors, image_shape, pre_nms=200,
                   post_nms=32, nms_thresh=0.7, min_size=2.0):
-    """Decode per-level RPN outputs into per-image proposal boxes (xywh).
+    """Decode RPN outputs into per-image proposal boxes (xywh).
 
     ``logits``/``deltas`` are the rpn_forward outputs; ``image_shape`` is
     the (H, W) the boxes are clipped to. Plain numpy path.
     """
     height, width = image_shape
-    n = logits[0].shape[0]
-    allanch = np.concatenate(anchors, axis=0)
     out = []
-    for i in range(n):
-        scores = np.concatenate([l.data[i] for l in logits])
-        dts = np.concatenate([d.data[i] for d in deltas], axis=0)
-        boxes = decode_deltas(dts, allanch)
+    for scores, dts in zip(logits.data, deltas.data):
+        boxes = decode_deltas(dts, anchors)
         # clip to image
         x2 = np.clip(boxes[:, 0] + boxes[:, 2], 0, width)
         y2 = np.clip(boxes[:, 1] + boxes[:, 3], 0, height)

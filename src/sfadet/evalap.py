@@ -36,6 +36,13 @@ def size_bucket(box):
     return "large"
 
 
+# the report's columns, in order: (report key, EvalReport field)
+REPORT_COLUMNS = (("AP@0.5", "ap50"), ("AP", "ap"), ("AP_small", "ap_small"),
+                  ("AP_medium", "ap_medium"), ("AP_large", "ap_large"),
+                  ("AR", "ar"), ("AR_small", "ar_small"),
+                  ("AR_medium", "ar_medium"), ("AR_large", "ar_large"))
+
+
 @dataclass
 class EvalReport:
     ap50: float
@@ -50,29 +57,13 @@ class EvalReport:
     per_class: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "AP@0.5": self.ap50,
-                "AP": self.ap,
-                "AP_small": self.ap_small,
-                "AP_medium": self.ap_medium,
-                "AP_large": self.ap_large,
-                "AR": self.ar,
-                "AR_small": self.ar_small,
-                "AR_medium": self.ar_medium,
-                "AR_large": self.ar_large,
-                "per_class": self.per_class,
-            },
-            indent=1,
-        )
+        cols = {key: getattr(self, name) for key, name in REPORT_COLUMNS}
+        return json.dumps({**cols, "per_class": self.per_class}, indent=1)
 
     def to_table(self, label="result"):
-        cols = ["AP@0.5", "AP", "AP_small", "AP_medium", "AP_large",
-                "AR", "AR_small", "AR_medium", "AR_large"]
-        vals = [self.ap50, self.ap, self.ap_small, self.ap_medium, self.ap_large,
-                self.ar, self.ar_small, self.ar_medium, self.ar_large]
-        head = f"{'':20s}" + "".join(f"{c:>11s}" for c in cols)
-        row = f"{label:20s}" + "".join(f"{100 * v:10.2f}%" for v in vals)
+        head = f"{'':20s}" + "".join(f"{key:>11s}" for key, _ in REPORT_COLUMNS)
+        row = f"{label:20s}" + "".join(f"{100 * getattr(self, name):10.2f}%"
+                                       for _, name in REPORT_COLUMNS)
         return head + "\n" + row
 
 

@@ -242,6 +242,10 @@ def load_annotations(path):
         raise AnnotationError(f"{path}: malformed JSON ({e})") from e
     if not isinstance(doc, dict) or "images" not in doc:
         raise AnnotationError(f"{path}: missing 'images' key")
+    for i, img in enumerate(doc["images"]):
+        for key in ("id", "width", "height"):
+            if key not in img:
+                raise AnnotationError(f"{path}: image #{i} has no {key!r} key")
     by_img = {img["id"]: (img, [], []) for img in doc["images"]}
     for i, a in enumerate(doc.get("annotations", [])):
         where = f"{path}: annotation {a.get('id', f'#{i}')}"

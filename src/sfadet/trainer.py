@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import (dataclass, asdict, field, fields, make_dataclass,
+                         replace)
+from functools import reduce
 
 import numpy as np
 
@@ -24,8 +26,12 @@ from .hsi import match_bands
 ABLATIONS = ("full", "no_sacm", "no_ssam_sacm")
 TARGET_RPN_MODES = ("background", "off")
 
-LOSS_FIELDS = ("l_s_r", "l_s_d", "l_sacm", "l_s_rpn", "l_roi",
-               "l_t_r", "l_t_d", "l_t_rpn")
+# The training objective: each loss term in loss-CSV order, with the
+# TrainConfig field that weighs it in the total (None: weight 1).
+OBJECTIVE = (("l_s_r", "epsilon"), ("l_s_d", "eta"), ("l_sacm", "tau"),
+             ("l_s_rpn", None), ("l_roi", None),
+             ("l_t_r", "epsilon"), ("l_t_d", "eta"), ("l_t_rpn", None))
+LOSS_FIELDS = tuple(term for term, _ in OBJECTIVE)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -124,23 +130,16 @@ def load_config(path, **overrides) -> TrainConfig:
     return TrainConfig(**args)
 
 
-@dataclass
-class LossBreakdown:
-    l_s_r: float = 0.0
-    l_s_d: float = 0.0
-    l_sacm: float = 0.0
-    l_s_rpn: float = 0.0
-    l_roi: float = 0.0
-    l_t_r: float = 0.0
-    l_t_d: float = 0.0
-    l_t_rpn: float = 0.0
-    total: float = 0.0
+def _recombined(self, cfg: TrainConfig) -> float:
+    """The weighted total, recomputed from the logged terms."""
+    return sum((1.0 if w is None else getattr(cfg, w)) * getattr(self, term)
+               for term, w in OBJECTIVE)
 
-    def recombined(self, cfg: TrainConfig) -> float:
-        return (cfg.epsilon * self.l_s_r + cfg.eta * self.l_s_d
-                + cfg.tau * self.l_sacm + self.l_s_rpn + self.l_roi
-                + cfg.epsilon * self.l_t_r + cfg.eta * self.l_t_d
-                + self.l_t_rpn)
+
+# one float per loss term, then the total the step took its gradient of
+LossBreakdown = make_dataclass(
+    "LossBreakdown", [(k, float, 0.0) for k in LOSS_FIELDS + ("total",)],
+    namespace={"recombined": _recombined})
 
 
 def standardize_cube(values):
@@ -163,11 +162,14 @@ class TrainState:
     cfg: TrainConfig
     params: ssam.Params           # name -> Tensor (backbone + heads)
     num_classes: int
-    in_bands: int
     optimizer: ad.Adam
     rng: np.random.Generator
-    anchors: dict = field(default_factory=dict)   # (H, W) -> per-level anchors
+    anchors: dict = field(default_factory=dict)   # (H, W) -> (A, 4) anchors
     step: int = 0
+
+    @property
+    def in_bands(self) -> int:
+        return self.params["enc1.w"].shape[1]
 
 
 def init_state(cfg: TrainConfig, in_bands, num_classes) -> TrainState:
@@ -177,7 +179,7 @@ def init_state(cfg: TrainConfig, in_bands, num_classes) -> TrainState:
     active = _active_params(params, cfg)
     opt = ad.Adam(active, lr=cfg.lr)
     return TrainState(cfg=cfg, params=params, num_classes=num_classes,
-                      in_bands=in_bands, optimizer=opt, rng=rng)
+                      optimizer=opt, rng=rng)
 
 
 def _active_params(params, cfg):
@@ -190,8 +192,8 @@ def _active_params(params, cfg):
 
 
 def _anchors_for(cache, h, w):
-    """Per-level anchors for an H x W input, generated once per shape and
-    kept in ``cache``, a dict keyed by (H, W)."""
+    """The anchors of an H x W input, generated once per shape and kept in
+    ``cache``, a dict keyed by (H, W)."""
     if (h, w) not in cache:
         cache[(h, w)] = detect.generate_anchors(
             [(h // s, w // s) for s in detect.STRIDES]
@@ -201,17 +203,33 @@ def _anchors_for(cache, h, w):
 
 def _per_image_rpn_loss(anchors, logits, deltas, gt_boxes_list, rng):
     """Mean RPN loss over the batch; gt lists may be empty (background)."""
-    n = logits[0].shape[0]
-    allanch = np.concatenate(anchors, axis=0)
-    terms = []
-    for i in range(n):
-        lf = ad.concat([ad.take_row(l, i) for l in logits], axis=0)
-        df = ad.concat([ad.take_row(d, i) for d in deltas], axis=0)
-        terms.append(detect.rpn_loss(lf, df, allanch, gt_boxes_list[i], rng))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / n)
+    n = logits.shape[0]
+    terms = [detect.rpn_loss(ad.take_row(logits, i), ad.take_row(deltas, i),
+                             anchors, gt_boxes_list[i], rng)
+             for i in range(n)]
+    return ad.scale(reduce(ad.add, terms), 1.0 / n)
+
+
+def _pairwise_sum(terms):
+    """Sum a list of tensors by adding neighbours, level by level:
+    ((a + b) + (c + d)) + ((e + f) + (g + h)) for eight terms."""
+    while len(terms) > 1:
+        terms = [ad.add(*terms[i:i + 2]) if i + 1 < len(terms) else terms[i]
+                 for i in range(0, len(terms), 2)]
+    return terms[0]
+
+
+def _jittered(gt, rng):
+    """Four jittered copies of each row of a (k, 4) xywh gt array, in row
+    order: sides scaled by U(0.5, 1.6) (at least 2 px), corner moved by
+    U(-0.35, 0.35) of the side. Each copy draws its factors in (w, h, x, y)
+    order."""
+    u = rng.uniform((0.5, 0.5, -0.35, -0.35), (1.6, 1.6, 0.35, 0.35),
+                    size=(len(gt), 4, 4))
+    x, y, w, h = (gt[:, None, c] for c in range(4))
+    return np.stack([x + u[..., 2] * w, y + u[..., 3] * h,
+                     np.maximum(2.0, w * u[..., 0]),
+                     np.maximum(2.0, h * u[..., 1])], axis=-1).reshape(-1, 4)
 
 
 def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown:
@@ -229,8 +247,8 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
     tgt_out = ssam.ssam_forward(tgt, state.params, cfg.grl_scale,
                                 with_decoder=use_ae, with_classifier=use_ae)
 
-    terms = {}
-    zero = Tensor(np.float32(0.0))
+    # ablated terms stay 0
+    terms = dict.fromkeys(LOSS_FIELDS, Tensor(np.float32(0.0)))
     if use_ae:
         terms["l_s_r"] = ssam.recon_loss(src, src_out, cfg.alpha)
         terms["l_t_r"] = ssam.recon_loss(tgt, tgt_out, cfg.alpha)
@@ -238,46 +256,29 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
                                           cfg.beta, cfg.lam)
         terms["l_t_d"] = ssam.domain_loss(tgt_out.domain_logit, "target",
                                           cfg.beta, cfg.lam)
-    else:
-        terms["l_s_r"] = terms["l_t_r"] = zero
-        terms["l_s_d"] = terms["l_t_d"] = zero
     if use_sacm:
         terms["l_sacm"] = sacm.sacm_loss(src_out.bottleneck, tgt_out.bottleneck,
                                          normalize=cfg.sacm_normalize)
-    else:
-        terms["l_sacm"] = zero
 
-    gt_boxes = [list(s.boxes) for s in source_samples]
-    gt_classes = [list(s.classes) for s in source_samples]
+    gts = [np.asarray(s.boxes, dtype=np.float64).reshape(-1, 4)
+           for s in source_samples]
     # anchor sampling uses a function of the batch inputs only, so a step
     # with identical inputs and parameters yields an identical loss
     rpn_rng = np.random.default_rng(cfg.seed)
     s_logits, s_deltas = detect.rpn_forward(src_out.fpn_levels, state.params)
     src_anchors = _anchors_for(state.anchors, *src_hw)
     terms["l_s_rpn"] = _per_image_rpn_loss(src_anchors, s_logits, s_deltas,
-                                           gt_boxes, rpn_rng)
+                                           gts, rpn_rng)
 
-    # proposals for the ROI head: RPN output plus injected gt boxes, and
-    # jittered gt copies so the box-refinement branch sees non-zero targets
+    # proposals for the ROI head: gt boxes, four jittered copies of each so
+    # the box-refinement branch sees non-zero targets, then the RPN output
     props = detect.rpn_proposals(s_logits, s_deltas, src_anchors, src_hw,
                                  post_nms=cfg.proposals_train)
-    proposals = []
-    for i in range(len(source_samples)):
-        boxes = [np.asarray(b, dtype=np.float64) for b in gt_boxes[i]]
-        for b in gt_boxes[i]:
-            x, y, w, h = b
-            for _ in range(4):
-                jw = max(2.0, w * rpn_rng.uniform(0.5, 1.6))
-                jh = max(2.0, h * rpn_rng.uniform(0.5, 1.6))
-                jx = x + rpn_rng.uniform(-0.35, 0.35) * w
-                jy = y + rpn_rng.uniform(-0.35, 0.35) * h
-                boxes.append(np.array([jx, jy, jw, jh]))
-        boxes.extend(props[i][0])
-        proposals.append(boxes)
+    proposals = [np.concatenate([gt, _jittered(gt, rpn_rng), boxes])
+                 for gt, (boxes, _) in zip(gts, props)]
     terms["l_roi"] = detect.roi_loss(
         src_out.fpn_levels, proposals,
-        [(np.asarray(b).reshape(-1, 4), c) for b, c in zip(gt_boxes, gt_classes)],
-        state.params,
+        [(gt, s.classes) for gt, s in zip(gts, source_samples)], state.params,
     )
 
     if cfg.target_rpn == "background":
@@ -286,20 +287,10 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
             _anchors_for(state.anchors, *tgt_hw), t_logits, t_deltas,
             [[] for _ in target_cubes], rpn_rng
         )
-    else:
-        terms["l_t_rpn"] = zero
 
-    total = ad.add(
-        ad.add(
-            ad.add(ad.scale(terms["l_s_r"], cfg.epsilon),
-                   ad.scale(terms["l_s_d"], cfg.eta)),
-            ad.add(ad.scale(terms["l_sacm"], cfg.tau), terms["l_s_rpn"]),
-        ),
-        ad.add(
-            ad.add(terms["l_roi"], ad.scale(terms["l_t_r"], cfg.epsilon)),
-            ad.add(ad.scale(terms["l_t_d"], cfg.eta), terms["l_t_rpn"]),
-        ),
-    )
+    total = _pairwise_sum([terms[k] if w is None
+                           else ad.scale(terms[k], getattr(cfg, w))
+                           for k, w in OBJECTIVE])
 
     breakdown = LossBreakdown(
         **{k: float(v.data) for k, v in terms.items()}, total=float(total.data)
@@ -348,14 +339,8 @@ def train(cfg: TrainConfig, source_samples, target_samples,
     if not source_samples or not target_samples:
         raise ValueError("both datasets must be non-empty")
     target_bands = target_samples[0].cube.bands
-    matched = []
-    for s in source_samples:
-        cube = match_bands(s.cube, target_bands)
-        if cube.bands != target_bands:
-            raise ValueError("band matching failed to equalize band counts")
-        with_boxes = type(s)(cube, list(s._boxes), list(s._classes),
-                             held_out=False, image_id=s.image_id)
-        matched.append(with_boxes)
+    matched = [replace(s, cube=match_bands(s.cube, target_bands))
+               for s in source_samples]
     num_classes = max(max(s.classes, default=1) for s in matched)
     state = init_state(cfg, target_bands, num_classes)
 

@@ -398,6 +398,21 @@ def nms_loops(boxes, scores, thresh, max_keep=None):
     return keep
 
 
+def jitter_loops(gt_boxes, rng):
+    """Four jittered copies of each xywh gt box, one scalar draw at a time:
+    per copy, w and h factors from U(0.5, 1.6), then x and y shifts from
+    U(-0.35, 0.35)."""
+    out = []
+    for x, y, w, h in gt_boxes:
+        for _ in range(4):
+            jw = max(2.0, w * rng.uniform(0.5, 1.6))
+            jh = max(2.0, h * rng.uniform(0.5, 1.6))
+            jx = x + rng.uniform(-0.35, 0.35) * w
+            jy = y + rng.uniform(-0.35, 0.35) * h
+            out.append([jx, jy, jw, jh])
+    return np.array(out, dtype=np.float64).reshape(-1, 4)
+
+
 def roi_pool_loops(feat, rois, s, g):
     """Bilinear ROI pooling one ROI at a time, and the scatter of the
     output gradient ``g`` back onto ``feat`` one ROI and one tap at a time.

@@ -185,6 +185,18 @@ class TestTrainInferEval:
                    os.path.join(data, "target", "annotations.json")) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_image_record_without_id_is_one_line_error(self, tmp_path,
+                                                            capsys):
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({"images": [
+            {"file": "x", "width": 10, "height": 10, "bands": 1}]}))
+        dets = tmp_path / "dets.json"
+        dets.write_text("[]")
+        assert run("eval", "--detections", str(dets),
+                   "--annotations", str(ann)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ann}: image #0 has no 'id' key\n"
+
 
 class TestGram:
     def test_zero_cube_gives_zero_csv(self, tmp_path):

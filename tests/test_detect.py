@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sfadet import autodiff as ad
 from sfadet import detect
@@ -70,18 +70,21 @@ class TestDeltas:
 class TestAnchors:
     def test_count_4x4_level(self):
         anchors = detect.generate_anchors([(4, 4), (2, 2), (1, 1)])
-        assert len(anchors[0]) == 48
-        assert [len(a) for a in anchors] == [48, 12, 3]
+        assert anchors.shape == (48 + 12 + 3, 4)
+        # rows run level by level: 48 of the 4x4 level, then 12, then 3
+        areas = anchors[:, 2] * anchors[:, 3]
+        np.testing.assert_allclose(
+            areas, np.repeat([b * b for b in detect.BASE_SIZES], [48, 12, 3]))
 
     def test_equal_area_family(self):
         anchors = detect.generate_anchors([(1, 1), (1, 1), (1, 1)])
-        for lvl, base in zip(anchors, detect.BASE_SIZES):
-            areas = lvl[:, 2] * lvl[:, 3]
-            np.testing.assert_allclose(areas, base * base, rtol=1e-9)
+        areas = (anchors[:, 2] * anchors[:, 3]).reshape(3, 3)
+        for lvl, base in zip(areas, detect.BASE_SIZES):
+            np.testing.assert_allclose(lvl, base * base, rtol=1e-9)
 
     def test_centers_on_stride_grid(self):
         anchors = detect.generate_anchors([(2, 2), (1, 1), (1, 1)])
-        lvl0 = anchors[0].reshape(2, 2, 3, 4)
+        lvl0 = anchors[:12].reshape(2, 2, 3, 4)
         np.testing.assert_allclose(lvl0[0, 0, :, 0], 1.0)  # (0.5)*stride2
         np.testing.assert_allclose(lvl0[1, 1, :, 1], 3.0)
 
@@ -189,23 +192,48 @@ class TestRpnForward:
         rng = np.random.default_rng(1)
         fpn = tiny_fpn(rng, n=2, size=16)
         logits, deltas = detect.rpn_forward(fpn, params)
-        shapes = [(16 // s) for s in detect.STRIDES]
-        for lg, dl, s in zip(logits, deltas, shapes):
-            assert lg.shape == (2, s * s * 3)
-            assert dl.shape == (2, s * s * 3, 4)
+        a = len(detect.generate_anchors([(16 // s, 16 // s)
+                                         for s in detect.STRIDES]))
+        assert a == sum((16 // s) ** 2 * 3 for s in detect.STRIDES)
+        assert logits.shape == (2, a)
+        assert deltas.shape == (2, a, 4)
 
     def test_zero_head_all_zero(self, params):
         for k in ("rpn.obj.w", "rpn.obj.b", "rpn.reg.w", "rpn.reg.b"):
             params[k].data[:] = 0
         rng = np.random.default_rng(2)
         logits, deltas = detect.rpn_forward(tiny_fpn(rng), params)
-        for lg, dl in zip(logits, deltas):
-            np.testing.assert_array_equal(lg.data, 0)
-            np.testing.assert_array_equal(dl.data, 0)
+        np.testing.assert_array_equal(logits.data, 0)
+        np.testing.assert_array_equal(deltas.data, 0)
 
     def test_wrong_level_count(self, params):
         with pytest.raises(ad.ShapeError):
             detect.rpn_forward([Tensor(np.zeros((1, FPN_WIDTH, 4, 4)))] * 2, params)
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 2),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_flat_layout_on_non_square_inputs(self, hk, wk, n, seed):
+        assume(hk != wk)
+        h, w = 8 * hk, 8 * wk
+        shapes = [(h // s, w // s) for s in detect.STRIDES]
+        anchors = detect.generate_anchors(shapes)
+        assert len(anchors) == 3 * sum(a * b for a, b in shapes)
+        rng = np.random.default_rng(seed)
+        fpn = [Tensor(rng.normal(size=(n, FPN_WIDTH) + hw).astype(np.float32))
+               for hw in shapes]
+        logits, deltas = detect.rpn_forward(
+            fpn, detect.init_detect_params(2, rng))
+        assert logits.shape == (n, len(anchors))
+        assert deltas.shape == (n, len(anchors), 4)
+        # each level's centres run from half a stride in to half a stride
+        # short of the far edge, on both axes
+        areas = anchors[:, 2] * anchors[:, 3]
+        for stride, base in zip(detect.STRIDES, detect.BASE_SIZES):
+            lvl = anchors[np.isclose(areas, base * base)]
+            assert lvl[:, 0].min() == lvl[:, 1].min() == stride / 2
+            assert lvl[:, 0].max() == w - stride / 2
+            assert lvl[:, 1].max() == h - stride / 2
 
 
 class TestAssignAnchors:

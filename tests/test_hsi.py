@@ -156,6 +156,17 @@ class TestAnnotations:
                            match=f"annotation 5 has no '{key}' key"):
             hsi.load_annotations(path)
 
+    @pytest.mark.parametrize("key", ["id", "width", "height"])
+    def test_image_record_missing_key_named(self, tmp_path, key):
+        images = [{"id": i, "file": "x", "width": 10, "height": 10, "bands": 1}
+                  for i in range(2)]
+        del images[1][key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": images, "annotations": []}))
+        with pytest.raises(hsi.AnnotationError) as err:
+            hsi.load_annotations(path)
+        assert str(err.value) == f"{path}: image #1 has no '{key}' key"
+
     def test_unknown_image_id_named(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"images": [

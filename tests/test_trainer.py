@@ -8,7 +8,7 @@ from sfadet import detect, hsi, trainer
 from sfadet.hsi import AnnotatedSample, HyperCube, HeldOutAnnotationError
 from sfadet.trainer import ConfigError, LossBreakdown, TrainConfig
 
-from oracles import same_bits, standardize_cube_two_pass
+from oracles import jitter_loops, same_bits, standardize_cube_two_pass
 
 
 def make_sample(rng, bands=6, size=16, image_id=0, held_out=False):
@@ -152,6 +152,19 @@ class TestStandardize:
         v = rng.normal(loc, scale, size=(bands, h, w)).astype(np.float32)
         v[rng.integers(bands)] = np.float32(loc)   # one constant band
         assert same_bits(trainer.standardize_cube(v), standardize_cube_two_pass(v))
+
+
+class TestJitter:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_draw_loop(self, seed, k):
+        rng = np.random.default_rng(seed)
+        gt = np.concatenate([rng.uniform(0, 50, (k, 2)),
+                             rng.uniform(0.5, 30, (k, 2))], axis=1)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert same_bits(trainer._jittered(gt, a), jitter_loops(gt, b))
+        # the same draws were taken, so the streams stay in step
+        assert a.uniform() == b.uniform()
 
 
 class TestTrainStep:
@@ -372,5 +385,5 @@ class TestAnchorCache:
             assert np.isfinite(bd.total)
         assert set(state.anchors) == {(64, 64), (32, 96)}
         per_location = len(detect.ASPECT_RATIOS)
-        assert sum(len(a) for a in state.anchors[(32, 96)]) == per_location * sum(
-            (32 // s) * (96 // s) for s in detect.STRIDES)
+        assert state.anchors[(32, 96)].shape == (per_location * sum(
+            (32 // s) * (96 // s) for s in detect.STRIDES), 4)
