@@ -3,8 +3,12 @@
 Every operation the detection network needs is implemented here as a tape
 node. The tape is implicit: nodes carry a monotonically increasing id, so
 sorting reachable nodes by id gives the insertion order and the backward
-pass walks it in exact reverse. Reductions accumulate in float64 before
-casting back to float32 to keep Frobenius norms stable on wide cubes.
+pass walks it in exact reverse. Backward consumes the tape: each node
+drops its closure, its inputs and its gradient as soon as its backward has
+run, so the buffers the forward saved are freed at their last use. A node
+keeps only the inputs whose gradient it computes and the arrays its
+backward reads. Reductions accumulate in float64 before casting back to
+float32 to keep Frobenius norms stable on wide cubes.
 Convolution unrolls its input once per call into channel-major columns, a
 (C*k*k, N*Ho*Wo) array whose column n*Ho*Wo + i is output position i of
 image n; the per-image GEMMs and the weight gradient read views of it.
@@ -38,7 +42,8 @@ class Tensor:
     with :meth:`zero_grad` before the next backward pass.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_prev", "_bw", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "_prev", "_bw", "_id",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float32)
@@ -66,14 +71,19 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this node.
+        """Reverse-mode sweep from this node, consuming its graph.
 
         Re-running backward while a leaf still holds a grad from a previous
-        sweep is an error; call ``zero_grad`` on the leaves first.
+        sweep is an error; call ``zero_grad`` on the leaves first. Each
+        interior node is freed once its backward has run, so a graph
+        supports one backward; build it again for another.
         """
-        nodes = _reachable(self)
+        # ascending ids: popping from the end walks the tape in reverse
+        nodes = sorted(_reachable(self), key=lambda n: n._id)
         for t in nodes:
-            if t.requires_grad and not t._prev and t.grad is not None:
+            if t._bw is _consumed:
+                _consumed(None)
+            if t.requires_grad and t._bw is None and t.grad is not None:
                 raise GradError(
                     "leaf already has a grad from a previous backward; "
                     "call zero_grad() before running backward again"
@@ -81,13 +91,22 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         self.grad = np.asarray(grad, dtype=np.float32)
-        for t in sorted(nodes, key=lambda n: n._id, reverse=True):
-            if t._bw is not None and t.grad is not None:
+        while nodes:
+            t = nodes.pop()
+            if t._bw is None:
+                continue
+            if t.grad is not None:
                 t._bw(t.grad)
-                if t._prev:
-                    # interior grads are transient; free them eagerly
-                    if t is not self:
-                        t.grad = None
+            # what the forward saved for this node is not read again
+            t._bw, t._prev = _consumed, ()
+            if t is not self:
+                t.grad = None
+
+
+def _consumed(g):
+    """The backward of a node whose graph an earlier sweep consumed."""
+    raise GradError("backward: this graph was consumed by an earlier "
+                    "backward(); build it again")
 
 
 def _reachable(root):
@@ -106,13 +125,20 @@ def _node(data, prev, bw):
     rg = any(p.requires_grad for p in prev)
     t = Tensor(data, requires_grad=rg)
     if rg:
-        t._prev = tuple(prev)
+        t._prev = tuple(p for p in prev if p.requires_grad)
         t._bw = bw
     return t
 
 
+def _needing_grad(*tensors):
+    """Each tensor that needs a gradient, and None in place of the others:
+    what a backward closure of several inputs captures, so that it keeps
+    alive no input it computes no gradient for."""
+    return [t if t.requires_grad else None for t in tensors]
+
+
 def _acc(t, g):
-    if not t.requires_grad:
+    if t is None:
         return
     g = g.astype(np.float32, copy=False)
     if t.grad is None:
@@ -138,20 +164,25 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
+    ta, tb = _needing_grad(a, b)
 
     def bw(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(g, b.data.shape))
+        _acc(ta, _unbroadcast(g, sa))
+        _acc(tb, _unbroadcast(g, sb))
 
     return _node(out, (a, b), bw)
 
 
 def sub(a, b):
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
+    ta, tb = _needing_grad(a, b)
 
     def bw(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(-g, b.data.shape))
+        _acc(ta, _unbroadcast(g, sa))
+        if tb is not None:
+            _acc(tb, _unbroadcast(-g, sb))
 
     return _node(out, (a, b), bw)
 
@@ -165,10 +196,16 @@ def mul(a, b):
                 f"mul: incompatible shapes {a.data.shape} vs {b.data.shape}"
             ) from None
     out = a.data * b.data
+    ta, tb = _needing_grad(a, b)
+    # each operand's gradient reads the other operand
+    a_data = a.data if tb is not None else None
+    b_data = b.data if ta is not None else None
 
     def bw(g):
-        _acc(a, _unbroadcast(g * b.data, a.data.shape))
-        _acc(b, _unbroadcast(g * a.data, b.data.shape))
+        if ta is not None:
+            _acc(ta, _unbroadcast(g * b_data, ta.data.shape))
+        if tb is not None:
+            _acc(tb, _unbroadcast(g * a_data, tb.data.shape))
 
     return _node(out, (a, b), bw)
 
@@ -238,11 +275,34 @@ def tmean(a, axis=None, keepdims=False):
     return _node(out, (a,), bw)
 
 
+_SUM_BLOCK = 1 << 15
+
+
+def _sum_of_squares(x):
+    """float64 sum of the squares of ``x``'s entries, equal bit for bit to
+    ``np.sum(np.square(x.astype(np.float64)))``.
+
+    numpy sums a contiguous float64 run pairwise: a run longer than 128
+    is split at n2 = n // 2 rounded down to a multiple of 8, and the sums
+    of the two parts are added. Runs longer than ``_SUM_BLOCK`` are split
+    the same way here, so only one block at a time is converted to float64.
+    """
+    flat = x.reshape(-1)
+
+    def run(lo, n):
+        if n <= _SUM_BLOCK:
+            block = flat[lo:lo + n].astype(np.float64)
+            return np.sum(np.square(block, out=block))
+        n2 = n // 2
+        n2 -= n2 % 8
+        return run(lo, n2) + run(lo + n2, n - n2)
+
+    return run(0, flat.size)
+
+
 def frobenius_sq(a):
     """Squared Frobenius norm: sum of squared entries, as a scalar tensor."""
-    # squared in place, so no second full-size float64 array is made
-    sq = a.data.astype(np.float64)
-    out = np.float32(np.sum(np.square(sq, out=sq)))
+    out = np.float32(_sum_of_squares(a.data))
 
     def bw(g):
         _acc(a, (2.0 * np.asarray(g)) * a.data)
@@ -286,10 +346,11 @@ def transpose(a, axes):
 def concat(tensors, axis=0):
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
+    targets = _needing_grad(*tensors)
 
     def bw(g):
         off = 0
-        for t, s in zip(tensors, sizes):
+        for t, s in zip(targets, sizes):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(off, off + s)
             _acc(t, g[tuple(idx)])
@@ -316,12 +377,18 @@ def matmul(a, b):
             f"matmul: inner dims differ, {a.data.shape} vs {b.data.shape}"
         )
     out = np.matmul(a.data, b.data)
+    ta, tb = _needing_grad(a, b)
+    # each operand's gradient reads the other operand
+    a_data = a.data if tb is not None else None
+    b_data = b.data if ta is not None else None
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _acc(a, _unbroadcast(ga, a.data.shape))
-        _acc(b, _unbroadcast(gb, b.data.shape))
+        if ta is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            _acc(ta, _unbroadcast(ga, ta.data.shape))
+        if tb is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            _acc(tb, _unbroadcast(gb, tb.data.shape))
 
     return _node(out, (a, b), bw)
 
@@ -400,17 +467,18 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
     out = np.matmul(wmat, cols)
     out += b.data.reshape(o, 1)
     out = out.reshape(n, o, ho, wo)
+    tx, tw, tb = _needing_grad(x, w, b)
 
     def bw(g):
         gout = g.reshape(n, o, p)
-        if w.requires_grad:
+        if tw is not None:
             # einsum's GEMM reads cols as (C*k*k, N*Ho*Wo): a view of the
             # channel-major buffer, unless cols is x or the copy above
             gw = np.einsum("nop,ncp->oc", gout, cols, optimize=True)
-            _acc(w, gw.reshape(o, c, k, k))
-        if b.requires_grad:
-            _acc(b, gout.sum(axis=(0, 2)))
-        if x.requires_grad:
+            _acc(tw, gw.reshape(o, c, k, k))
+        if tb is not None:
+            _acc(tb, gout.sum(axis=(0, 2)))
+        if tx is not None:
             gcols = np.matmul(wmat.T, gout).reshape(n, c, k, k, ho, wo)
             gx = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=np.float32)
             for ki in range(k):
@@ -418,7 +486,7 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
                     gx[:, :, ki : ki + stride * ho : stride,
                        kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
             del gcols
-            _acc(x, gx[:, :, padding:padding + h, padding:padding + wd])
+            _acc(tx, gx[:, :, padding:padding + h, padding:padding + wd])
 
     return _node(out, (x, w, b), bw)
 
@@ -487,10 +555,11 @@ def _conv2d_up2(x, w, b):
             out6[:, :, :, a, :, bb] = res[a, bb].transpose(1, 0, 2, 3)
     del res, out6
     out += b.data.reshape(o, 1, 1)
+    tx, tw, tb = _needing_grad(x, w, b)
 
     def bw(g):
-        if b.requires_grad:
-            _acc(b, g.reshape(n, o, 4 * h * wd).sum(axis=(0, 2)))
+        if tb is not None:
+            _acc(tb, g.reshape(n, o, 4 * h * wd).sum(axis=(0, 2)))
         # g4[2a + b] is phase (a, b)'s output gradient, (O, N*H*(W+2))
         g6 = g.reshape(n, o, h, 2, wd, 2)
         g4 = np.empty((2, 2, o, n, h, wp), dtype=np.float32)
@@ -499,11 +568,11 @@ def _conv2d_up2(x, w, b):
             for bb in range(2):
                 g4[a, bb, ..., :wd] = g6[:, :, :, a, :, bb].transpose(1, 0, 2, 3)
         g4 = g4.reshape(4, o, p)
-        if w.requires_grad:
+        if tw is not None:
             gwf = np.matmul(cols, g4.transpose(0, 2, 1)).transpose(0, 2, 1)
             gwf = gwf.reshape(2, 2, o, c, 2, 2)
-            _acc(w, _unfold3(_unfold3(gwf.swapaxes(-1, -2)).swapaxes(-1, -2)))
-        if x.requires_grad:
+            _acc(tw, _unfold3(_unfold3(gwf.swapaxes(-1, -2)).swapaxes(-1, -2)))
+        if tx is not None:
             gcols = np.matmul(wf.transpose(0, 2, 1), g4)
             gcols = gcols.reshape(2, 2, c, 2, 2, n, m)
             # 2x2 col2im on the flattened padded grid: the phase taps that
@@ -518,7 +587,7 @@ def _conv2d_up2(x, w, b):
                     gxpf[:, :, off:off + m] += sum(parts[1:], parts[0])
             del gcols
             gxp = gxpf[:, :, :grid].reshape(c, n, h + 2, wp)
-            _acc(x, gxp[:, :, 1:h + 1, 1:wd + 1].transpose(1, 0, 2, 3))
+            _acc(tx, gxp[:, :, 1:h + 1, 1:wd + 1].transpose(1, 0, 2, 3))
 
     return _node(out, (x, w, b), bw)
 

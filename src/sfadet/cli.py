@@ -142,7 +142,10 @@ def cmd_eval(args):
                                            image_id=img["id"]))
     with open(args.detections) as f:
         records = json.load(f)
-    dets = evalap.group_detections(records, [s.image_id for s in samples])
+    try:
+        dets = evalap.group_detections(records, [s.image_id for s in samples])
+    except ValueError as e:
+        raise ValueError(f"{args.detections}: {e}") from None
     report = evalap.evaluate(dets, samples)
     print(report.to_table())
     if args.out:

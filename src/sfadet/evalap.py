@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detect import DetectionSet, iou_xywh
-from .hsi import eval_annotation_access
+from .hsi import eval_annotation_access, is_finite_number, is_xywh
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
 RECALL_POINTS = np.arange(101) / 100.0
@@ -67,14 +67,38 @@ class EvalReport:
         return head + "\n" + row
 
 
+def _detection_problem(r):
+    """Why detection record ``r`` cannot be scored, or None if it can."""
+    if not isinstance(r, dict):
+        return "not a JSON object"
+    for key in ("image_id", "bbox", "score", "category_id"):
+        if key not in r:
+            return f"no {key!r} key"
+    if not is_xywh(r["bbox"]):
+        return f"bbox must be 4 finite numbers, got {r['bbox']!r}"
+    if not is_finite_number(r["score"]):
+        return f"score must be a finite number, got {r['score']!r}"
+    return None
+
+
 def group_detections(records, known_image_ids):
     """Group JSON detection records into per-image DetectionSets.
 
     Records may carry an optional unique "id"; duplicates are rejected.
+    A record without image_id, bbox, score or category_id, or with a bbox
+    that is not 4 finite numbers or a score that is not a finite number,
+    is rejected with its "id" (or its index) named.
     """
+    if not isinstance(records, list):
+        raise ValueError("detections must be a JSON list of records")
     seen_ids = set()
     per_image = {i: [] for i in known_image_ids}
-    for r in records:
+    for index, r in enumerate(records):
+        problem = _detection_problem(r)
+        if problem:
+            name = (r.get("id", f"#{index}") if isinstance(r, dict)
+                    else f"#{index}")
+            raise ValueError(f"detection {name}: {problem}")
         if "id" in r:
             if r["id"] in seen_ids:
                 raise ValueError(f"duplicate detection id {r['id']}")

@@ -233,6 +233,17 @@ def save_annotations(samples, path, files=None):
         json.dump(doc, f, indent=1)
 
 
+def is_finite_number(v):
+    """True for a finite JSON number: an int or a float, not a bool."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def is_xywh(v):
+    """True for a JSON box: a list (or tuple) of 4 finite numbers."""
+    return (type(v) in (list, tuple) and len(v) == 4
+            and all(map(is_finite_number, v)))
+
+
 def load_annotations(path):
     """Return annotation metadata: list of (image record, boxes, classes)."""
     try:
@@ -254,14 +265,21 @@ def load_annotations(path):
                 raise AnnotationError(f"{where} has no {key!r} key")
         if a["image_id"] not in by_img:
             raise AnnotationError(f"{where}: unknown image_id {a['image_id']!r}")
+        bbox, cat = a["bbox"], a["category_id"]
+        if not is_xywh(bbox):
+            raise AnnotationError(
+                f"{where}: bbox must be 4 finite numbers, got {bbox!r}")
+        if type(cat) is not int:
+            raise AnnotationError(
+                f"{where}: category_id must be an integer, got {cat!r}")
         img, boxes, classes = by_img[a["image_id"]]
-        x, y, w, h = a["bbox"]
+        x, y, w, h = bbox
         if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > img["width"] or y + h > img["height"]:
             raise AnnotationError(
                 f"{path}: box {a['bbox']} out of bounds for image {a['image_id']}"
             )
         boxes.append((float(x), float(y), float(w), float(h)))
-        classes.append(int(a["category_id"]))
+        classes.append(cat)
     return [by_img[img["id"]] for img in doc["images"]]
 
 

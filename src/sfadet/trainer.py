@@ -234,6 +234,27 @@ def _jittered(gt, rng):
 
 def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown:
     """One optimization step of the two-flow procedure."""
+    total, breakdown = _objective(state, source_samples, target_cubes)
+    for name in LOSS_FIELDS:
+        if not np.isfinite(getattr(breakdown, name)):
+            raise NonFiniteLossError(f"loss term {name} became non-finite")
+
+    state.optimizer.zero_grad()
+    total.backward()
+    state.optimizer.step()
+    state.optimizer.zero_grad()
+    state.step += 1
+    return breakdown
+
+
+def _objective(state: TrainState, source_samples, target_cubes):
+    """The step's weighted total, as a graph, and its LossBreakdown.
+
+    Only the total leaves this function, so the graph is all that keeps the
+    forward's buffers alive, and backward frees each one at its last use;
+    outputs no loss reads, such as the target flow's FPN levels under
+    ``target_rpn="off"``, are freed on return.
+    """
     cfg = state.cfg
     use_ae = cfg.ablation != "no_ssam_sacm"
     use_sacm = cfg.ablation == "full"
@@ -295,16 +316,7 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
     breakdown = LossBreakdown(
         **{k: float(v.data) for k, v in terms.items()}, total=float(total.data)
     )
-    for name in LOSS_FIELDS:
-        if not np.isfinite(getattr(breakdown, name)):
-            raise NonFiniteLossError(f"loss term {name} became non-finite")
-
-    state.optimizer.zero_grad()
-    total.backward()
-    state.optimizer.step()
-    state.optimizer.zero_grad()
-    state.step += 1
-    return breakdown
+    return total, breakdown
 
 
 def _atomic_save(named, path):

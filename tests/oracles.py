@@ -7,7 +7,7 @@ alignment loss and the evaluator.
 
 import numpy as np
 
-from sfadet.autodiff import Tensor
+from sfadet.autodiff import GradError, Tensor
 
 
 def numerical_grad(f, arrays, which, h=1e-3):
@@ -513,3 +513,30 @@ def standardize_cube_two_pass(values):
     mean = v.mean(axis=(1, 2), keepdims=True, dtype=np.float64)
     std = v.std(axis=(1, 2), keepdims=True, dtype=np.float64)
     return ((v - mean) / (std + 1e-6)).astype(np.float32)
+
+
+def backward_whole_tape(root, grad=None):
+    """``Tensor.backward`` as first written: every node's backward runs in
+    reverse tape order, only the interior grads are freed, and every node
+    keeps its closure, so all the buffers the forward saved stay alive
+    until the graph is dropped. Training with it in place of the library's
+    consuming sweep must give the same bits."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for p in stack.pop()._prev:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    nodes = list(seen.values())
+    for t in nodes:
+        if t.requires_grad and not t._prev and t.grad is not None:
+            raise GradError("leaf already has a grad from a previous backward")
+    if grad is None:
+        grad = np.ones_like(root.data)
+    root.grad = np.asarray(grad, dtype=np.float32)
+    for t in sorted(nodes, key=lambda n: n._id, reverse=True):
+        if t._bw is not None and t.grad is not None:
+            t._bw(t.grad)
+            if t._prev and t is not root:
+                t.grad = None

@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -152,6 +153,89 @@ class TestGraphSemantics:
         x = Tensor(np.ones(3))
         y = ad.relu(ad.scale(x, 2.0))
         assert y._prev == () and y._bw is None
+
+
+def _conv_graph(rng):
+    """conv -> relu -> frobenius_sq on a batch that needs no gradient;
+    returns the loss, the leaves and weakrefs to the batch, to the conv's
+    and the relu's outputs, and to the conv's saved columns (the view and
+    the buffer it reads)."""
+    x = Tensor(randn(rng, 2, 3, 8, 8))
+    w = Tensor(randn(rng, 4, 3, 3, 3), requires_grad=True)
+    b = Tensor(randn(rng, 4), requires_grad=True)
+    h = ad.conv2d(x, w, b, stride=2, padding=1)
+    cells = dict(zip(h._bw.__code__.co_freevars, h._bw.__closure__))
+    cols = cells["cols"].cell_contents
+    r = ad.relu(h)
+    loss = ad.frobenius_sq(r)
+    refs = {"x": weakref.ref(x), "h": weakref.ref(h), "r": weakref.ref(r),
+            "cols": weakref.ref(cols), "cols.base": weakref.ref(cols.base)}
+    return loss, (w, b), refs
+
+
+class TestConsumedTape:
+    def test_backward_frees_interior_tensors_and_saved_columns(self):
+        loss, (w, b), refs = _conv_graph(np.random.default_rng(0))
+        # the tape holds what backward reads, but not the batch, which
+        # gets no gradient
+        assert refs["x"]() is None
+        assert all(refs[k]() is not None
+                   for k in ("h", "r", "cols", "cols.base"))
+        loss.backward()
+        assert all(ref() is None for ref in refs.values())
+        assert w.grad is not None and b.grad is not None
+
+    def test_second_backward_on_consumed_graph_raises(self):
+        loss, (w, b), _ = _conv_graph(np.random.default_rng(2))
+        loss.backward()
+        w.zero_grad()
+        b.zero_grad()
+        with pytest.raises(ad.GradError, match="consumed by an earlier backward"):
+            loss.backward()
+        assert w.grad is None and b.grad is None
+
+    def test_graph_sharing_a_consumed_node_raises(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        y = ad.relu(ad.scale(x, 3.0))
+        first, second = ad.tsum(y), ad.frobenius_sq(y)
+        first.backward()
+        x.zero_grad()
+        with pytest.raises(ad.GradError, match="consumed"):
+            second.backward()
+
+    def test_node_keeps_only_inputs_needing_grad(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        c = Tensor(np.ones(3))
+        assert ad.sub(a, c)._prev == (a,)
+        assert ad.concat([c, a, c])._prev == (a,)
+
+
+BLOCK = ad._SUM_BLOCK
+
+
+def _lengths(lo, hi):
+    return st.integers(lo, hi).map(lambda n: (n,))
+
+
+# 1-D runs below, around and above the block size, and NCHW batches up to
+# the (6, 60, 64, 64) reconstruction difference of the reference step
+@given(st.integers(0, 2**32 - 1),
+       st.one_of(_lengths(1, 300), _lengths(BLOCK - 40, BLOCK + 40),
+                 _lengths(BLOCK + 41, 5 * BLOCK),
+                 st.tuples(st.integers(1, 6), st.integers(1, 60),
+                           st.integers(1, 64), st.integers(1, 64))),
+       st.floats(-6, 6))
+@example(0, (6, 60, 64, 64), 0.0)
+@example(1, (BLOCK,), 0.0)
+@example(2, (BLOCK + 1,), 0.0)
+@settings(max_examples=120, deadline=None)
+def test_frobenius_sq_matches_one_float64_sum(seed, shape, log_scale):
+    x = (np.random.default_rng(seed).normal(size=shape)
+         * 10.0 ** log_scale).astype(np.float32)
+    want = np.sum(np.square(x.astype(np.float64)))
+    # the float64 sum itself, not only its float32 rounding, is numpy's
+    assert ad._sum_of_squares(x) == want
+    assert same_bits(ad.frobenius_sq(Tensor(x)).data, np.float32(want))
 
 
 GRADCHECK_CASES = {

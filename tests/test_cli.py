@@ -197,6 +197,27 @@ class TestTrainInferEval:
         err = capsys.readouterr().err
         assert err == f"error: {ann}: image #0 has no 'id' key\n"
 
+    @pytest.mark.parametrize("change, cause", [
+        ({"score": None}, "no 'score' key"),
+        ({"bbox": [1, 1, 2]}, "bbox must be 4 finite numbers, got [1, 1, 2]"),
+        ({"score": "0.9"}, "score must be a finite number, got '0.9'"),
+    ])
+    def test_eval_bad_detection_record_is_one_line_error(self, tmp_path,
+                                                          capsys, change,
+                                                          cause):
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({"images": [
+            {"id": 0, "file": "x", "width": 10, "height": 10, "bands": 1}]}))
+        good = {"image_id": 0, "bbox": [1, 1, 2, 2], "score": 0.9,
+                "category_id": 1}
+        bad = {k: v for k, v in {**good, **change}.items() if v is not None}
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([good, bad]))
+        assert run("eval", "--detections", str(dets),
+                   "--annotations", str(ann)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {dets}: detection #1: {cause}\n"
+
 
 class TestGram:
     def test_zero_cube_gives_zero_csv(self, tmp_path):

@@ -124,6 +124,36 @@ class TestGrouping:
         out = evalap.group_detections([], [1, 2, 3])
         assert len(out) == 3 and all(len(d) == 0 for d in out)
 
+    @pytest.mark.parametrize("change, cause", [
+        ({"image_id": None}, "no 'image_id' key"),
+        ({"bbox": None}, "no 'bbox' key"),
+        ({"score": None}, "no 'score' key"),
+        ({"category_id": None}, "no 'category_id' key"),
+        ({"bbox": [0, 0, 1]}, "bbox must be 4 finite numbers, got [0, 0, 1]"),
+        ({"bbox": [0, 0, 1, 1, 1]}, "bbox must be 4 finite numbers"),
+        ({"bbox": [0, 0, "1", 1]}, "bbox must be 4 finite numbers"),
+        ({"bbox": [0, 0, float("nan"), 1]}, "bbox must be 4 finite numbers"),
+        ({"bbox": 4}, "bbox must be 4 finite numbers, got 4"),
+        ({"score": "high"}, "score must be a finite number, got 'high'"),
+        ({"score": True}, "score must be a finite number, got True"),
+        ({"score": float("inf")}, "score must be a finite number"),
+    ])
+    def test_bad_record_named(self, change, cause):
+        good = {"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5,
+                "category_id": 1}
+        bad = {k: v for k, v in {**good, **change}.items() if v is not None}
+        with pytest.raises(ValueError) as err:
+            evalap.group_detections([good, bad], [1])
+        assert str(err.value).startswith(f"detection #1: {cause}")
+        with pytest.raises(ValueError, match=r"^detection 12: "):
+            evalap.group_detections([good, {**bad, "id": 12}], [1])
+
+    def test_non_record_rejected(self):
+        with pytest.raises(ValueError, match=r"^detection #0: not a JSON object"):
+            evalap.group_detections([[1, 0, 0, 1, 1]], [1])
+        with pytest.raises(ValueError, match="JSON list"):
+            evalap.group_detections({"image_id": 1}, [1])
+
 
 class TestReport:
     def test_json_round_trip(self):

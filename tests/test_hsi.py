@@ -177,6 +177,40 @@ class TestAnnotations:
             hsi.load_annotations(path)
         assert str(err.value) == f"{path}: annotation 3: unknown image_id 5"
 
+    @pytest.mark.parametrize("change, cause", [
+        ({"bbox": [1, 1, 2]}, "bbox must be 4 finite numbers, got [1, 1, 2]"),
+        ({"bbox": [1, 1, 2, 2, 2]},
+         "bbox must be 4 finite numbers, got [1, 1, 2, 2, 2]"),
+        ({"bbox": [1, "1", 2, 2]},
+         "bbox must be 4 finite numbers, got [1, '1', 2, 2]"),
+        ({"bbox": "1 1 2 2"}, "bbox must be 4 finite numbers, got '1 1 2 2'"),
+        ({"category_id": "a"}, "category_id must be an integer, got 'a'"),
+        ({"category_id": 1.5}, "category_id must be an integer, got 1.5"),
+        ({"category_id": True}, "category_id must be an integer, got True"),
+    ])
+    def test_bad_bbox_or_category_named(self, tmp_path, change, cause):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": [
+            {"id": 0, "file": "x", "width": 10, "height": 10, "bands": 1}],
+            "annotations": [{"image_id": 0, "bbox": [1, 1, 2, 2],
+                             "category_id": 1},
+                            {"id": 4, "image_id": 0, "bbox": [1, 1, 2, 2],
+                             "category_id": 1, **change}]}))
+        with pytest.raises(hsi.AnnotationError) as err:
+            hsi.load_annotations(path)
+        assert str(err.value) == f"{path}: annotation 4: {cause}"
+
+    def test_non_finite_bbox_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": [
+            {"id": 0, "file": "x", "width": 10, "height": 10, "bands": 1}],
+            "annotations": [{"image_id": 0, "bbox": [1, 1, float("nan"), 2],
+                             "category_id": 1}]}))
+        with pytest.raises(hsi.AnnotationError) as err:
+            hsi.load_annotations(path)
+        assert str(err.value) == (f"{path}: annotation #0: bbox must be 4 "
+                                  f"finite numbers, got [1, 1, nan, 2]")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from sfadet import detect, hsi, trainer
 from sfadet.hsi import AnnotatedSample, HyperCube, HeldOutAnnotationError
-from sfadet.trainer import ConfigError, LossBreakdown, TrainConfig
+from sfadet.trainer import ConfigError, LOSS_FIELDS, LossBreakdown, TrainConfig
 
-from oracles import jitter_loops, same_bits, standardize_cube_two_pass
+from oracles import (backward_whole_tape, jitter_loops, same_bits,
+                     standardize_cube_two_pass)
 
 
 def make_sample(rng, bands=6, size=16, image_id=0, held_out=False):
@@ -257,6 +258,33 @@ class TestTrainLoop:
         assert lines[0] == "step,l_s_r,l_s_d,l_sacm,l_s_rpn,l_roi,l_t_r,l_t_d,l_t_rpn,total"
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "0"
+
+
+class TestConsumedTape:
+    @pytest.mark.parametrize("ablation", ["full", "no_ssam_sacm"])
+    def test_training_matches_whole_tape_backward(self, ablation,
+                                                  monkeypatch):
+        # criterion 9's train settings on small scenes: backward that frees
+        # each buffer at its last use must give the bits of a sweep that
+        # keeps the whole tape
+        src, tgt = hsi.generate_domain_pair(hsi.SynthConfig(
+            seed=1, image_size=32, num_source=8, num_target=8))
+        cfg = TrainConfig(ablation=ablation, iterations=4, batch_size=6,
+                          lr=1e-3, target_rpn="off", seed=2)
+
+        def run():
+            state, history = trainer.train(cfg, src, tgt)
+            return ({k: t.data for k, t in state.params.items()},
+                    [np.array([getattr(bd, k) for k in LOSS_FIELDS + ("total",)])
+                     for bd in history])
+
+        params, history = run()
+        monkeypatch.setattr(trainer.Tensor, "backward", backward_whole_tape)
+        want_params, want_history = run()
+        assert params.keys() == want_params.keys()
+        assert all(same_bits(params[k], want_params[k]) for k in params)
+        assert all(same_bits(a, b) for a, b in zip(history, want_history))
+        assert len(history) == len(want_history) == 4
 
 
 class TestFirewall:
