@@ -24,6 +24,10 @@ import itertools
 import numpy as np
 
 _ids = itertools.count()
+SMOOTH_L1_BETA = 1.0   # |pred - target| at which smooth_l1 turns linear
+ADAM_BETA1 = 0.9       # Adam's moment decay rates
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8        # added to Adam's denominator
 
 
 class ShapeError(ValueError):
@@ -693,8 +697,9 @@ def cross_entropy_logits(logits, labels):
     return _node(out, (logits,), bw)
 
 
-def smooth_l1(pred, target, beta=1.0):
+def smooth_l1(pred, target):
     """Elementwise Huber-style loss against a constant target array."""
+    beta = SMOOTH_L1_BETA
     t = np.asarray(target, dtype=np.float32)
     d = pred.data - t
     ad = np.abs(d)
@@ -787,19 +792,16 @@ def roi_pool_bilinear(feat, rois, out_size):
 class Adam:
     """Standard Adam with bias correction over a list of leaf tensors."""
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=3e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
@@ -810,7 +812,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            p.data -= (self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(
+            p.data -= (self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(
                 np.float32
             )
 

@@ -18,6 +18,16 @@ BASE_SIZES = (16, 32, 64)
 ASPECT_RATIOS = (0.5, 1.0, 2.0)
 ROI_POOL = 4
 ROI_HIDDEN = 64
+RPN_POS_IOU = 0.7         # an anchor this close to a gt box is positive,
+RPN_NEG_IOU = 0.3         # one at most this close to every gt box negative
+RPN_SAMPLES = 32          # anchors sampled per image for the RPN loss
+RPN_POS_FRACTION = 0.5    # largest share of positives in that sample
+PROPOSAL_NMS_IOU = 0.7
+PROPOSAL_MIN_SIZE = 2.0   # px, each side of a clipped proposal
+ROI_FG_IOU = 0.5          # a proposal this close to a gt box learns its class
+SCORE_FLOOR = 0.05        # lowest class score of a detection
+DET_NMS_IOU = 0.5         # class-wise NMS of the detections
+MAX_DETS = 100            # detections kept per image
 
 
 @dataclass
@@ -157,19 +167,25 @@ def levels_for_boxes(boxes_xywh):
 NMS_BLOCK = 16
 
 
-def nms(boxes, scores, iou_thresh, max_keep=None):
+def nms(boxes, scores, iou_thresh, max_keep=None, groups=None):
     """Greedy NMS; returns kept indices in descending score order.
 
     With ``max_keep`` the pass stops once that many boxes are kept; the
-    result is the same prefix the full pass would return.
+    result is the same prefix the full pass would return. With ``groups``
+    (one integer per box) a box suppresses only boxes of its own group, so
+    each group's kept boxes are those a separate pass over it would keep.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("nms: non-finite scores")
-    # tie-break on (-score, x, y, w, h) for order independence
-    order = np.lexsort(
-        (boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], -scores))
+    # tie-break on (-score, [group,] x, y, w, h) for order independence
+    keys = (boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0])
+    if groups is not None:
+        keys += (np.asarray(groups),)
+    order = np.lexsort(keys + (-scores,))
+    if groups is not None:
+        groups = np.asarray(groups)[order]
     corners = _corners(boxes[order])
     n = len(order)
     limit = n if max_keep is None else max_keep
@@ -186,6 +202,8 @@ def nms(boxes, scores, iou_thresh, max_keep=None):
         c0 = cand[0]
         spared = ~(_pairwise_iou([v[cand] for v in corners],
                                  [v[c0:] for v in corners]) > iou_thresh)
+        if groups is not None:
+            spared |= groups[cand][:, None] != groups[None, c0:]
         # greedy within the block: a candidate an earlier one suppressed is
         # skipped, a kept one suppresses the alive boxes after it
         for row, pos in enumerate(cand.tolist()):
@@ -257,7 +275,7 @@ def rpn_forward(fpn_levels, params):
     return ad.concat(logits, axis=1), ad.concat(deltas, axis=1)
 
 
-def assign_anchors(anchors_cxcywh, gt_xywh, pos_iou=0.7, neg_iou=0.3):
+def assign_anchors(anchors_cxcywh, gt_xywh):
     """Anchor labels: 1 positive, 0 negative, -1 ignore; plus matched gt index."""
     n = len(anchors_cxcywh)
     labels = np.zeros(n, dtype=np.int64)
@@ -268,8 +286,8 @@ def assign_anchors(anchors_cxcywh, gt_xywh, pos_iou=0.7, neg_iou=0.3):
     best_gt = ious.argmax(axis=1)
     best_iou = ious[np.arange(n), best_gt]
     labels[:] = -1
-    labels[best_iou <= neg_iou] = 0
-    labels[best_iou >= pos_iou] = 1
+    labels[best_iou <= RPN_NEG_IOU] = 0
+    labels[best_iou >= RPN_POS_IOU] = 1
     # best anchor per gt is always positive
     for g in range(ious.shape[1]):
         top = ious[:, g].max()
@@ -279,21 +297,20 @@ def assign_anchors(anchors_cxcywh, gt_xywh, pos_iou=0.7, neg_iou=0.3):
     return labels, matched
 
 
-def rpn_loss(logits_flat, deltas_flat, anchors_cxcywh, gt_xywh, rng,
-             num_samples=32, pos_fraction=0.5, pos_iou=0.7, neg_iou=0.3):
+def rpn_loss(logits_flat, deltas_flat, anchors_cxcywh, gt_xywh, rng):
     """Sampled binary objectness + smooth-L1 box loss for one image.
 
     ``logits_flat``/``deltas_flat`` are (A,) and (A, 4) tensors, one row
     of :func:`rpn_forward`'s outputs.
     """
     a = len(anchors_cxcywh)
-    labels, matched = assign_anchors(anchors_cxcywh, gt_xywh, pos_iou, neg_iou)
+    labels, matched = assign_anchors(anchors_cxcywh, gt_xywh)
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
-    n_pos = min(len(pos), int(num_samples * pos_fraction))
+    n_pos = min(len(pos), int(RPN_SAMPLES * RPN_POS_FRACTION))
     if len(pos) > n_pos:
         pos = rng.choice(pos, size=n_pos, replace=False)
-    n_neg = min(len(neg), num_samples - len(pos))
+    n_neg = min(len(neg), RPN_SAMPLES - len(pos))
     if len(neg) > n_neg:
         neg = rng.choice(neg, size=n_neg, replace=False)
     sampled = np.concatenate([pos, neg])
@@ -323,7 +340,7 @@ def rpn_loss(logits_flat, deltas_flat, anchors_cxcywh, gt_xywh, rng,
 
 
 def rpn_proposals(logits, deltas, anchors, image_shape, pre_nms=200,
-                  post_nms=32, nms_thresh=0.7, min_size=2.0):
+                  post_nms=32):
     """Decode RPN outputs into per-image proposal boxes (xywh).
 
     ``logits``/``deltas`` are the rpn_forward outputs; ``image_shape`` is
@@ -339,12 +356,13 @@ def rpn_proposals(logits, deltas, anchors, image_shape, pre_nms=200,
         x1 = np.clip(boxes[:, 0], 0, width)
         y1 = np.clip(boxes[:, 1], 0, height)
         boxes = np.stack([x1, y1, x2 - x1, y2 - y1], axis=1)
-        valid = (boxes[:, 2] >= min_size) & (boxes[:, 3] >= min_size)
+        valid = ((boxes[:, 2] >= PROPOSAL_MIN_SIZE)
+                 & (boxes[:, 3] >= PROPOSAL_MIN_SIZE))
         boxes, scores = boxes[valid], scores[valid]
         if len(boxes) > pre_nms:
             top = np.argpartition(-scores, pre_nms)[:pre_nms]
             boxes, scores = boxes[top], scores[top]
-        keep = nms(boxes, scores, nms_thresh, max_keep=post_nms)
+        keep = nms(boxes, scores, PROPOSAL_NMS_IOU, max_keep=post_nms)
         out.append((boxes[keep], scores[keep]))
     return out
 
@@ -392,8 +410,7 @@ def _roi_mlp(features, params):
     return cls, reg
 
 
-def roi_loss(fpn_levels, proposals_per_image, gt_per_image, params,
-             fg_iou=0.5):
+def roi_loss(fpn_levels, proposals_per_image, gt_per_image, params):
     """Classification + box-refinement loss over all proposals in a batch.
 
     ``gt_per_image`` is a list of (boxes_xywh, classes) pairs; classes are
@@ -420,7 +437,7 @@ def roi_loss(fpn_levels, proposals_per_image, gt_per_image, params,
         gt_boxes = np.asarray(gt_boxes).reshape(-1, 4)
         ious = iou_xywh(boxes[rows], gt_boxes)
         g = ious.argmax(axis=1)
-        fg = ious.max(axis=1) >= fg_iou
+        fg = ious.max(axis=1) >= ROI_FG_IOU
         rows, g = rows[fg], g[fg]
         cls = np.asarray(gt_classes, dtype=np.int64)[g]
         labels[rows] = cls
@@ -439,12 +456,7 @@ def roi_loss(fpn_levels, proposals_per_image, gt_per_image, params,
     return ad.add(cls_term, reg_term)
 
 
-def _no_detections():
-    return DetectionSet(np.zeros((0, 4)), np.zeros(0), np.zeros(0, np.int64))
-
-
-def roi_predict(fpn_levels, proposals_per_image, params, num_classes,
-                score_floor=0.05, nms_thresh=0.5, max_dets=100):
+def roi_predict(fpn_levels, proposals_per_image, params, num_classes):
     """Score and refine proposals into final per-image detections.
 
     A proposal is emitted only when a foreground class strictly beats the
@@ -452,7 +464,8 @@ def roi_predict(fpn_levels, proposals_per_image, params, num_classes,
     """
     n_images = len(proposals_per_image)
     if all(len(p) == 0 for p in proposals_per_image):
-        return [_no_detections() for _ in range(n_images)]
+        return [DetectionSet(np.zeros((0, 4)), np.zeros(0),
+                             np.zeros(0, np.int64)) for _ in range(n_images)]
     features, images, boxes = _roi_features(fpn_levels, proposals_per_image)
     cls_logits, reg = _roi_mlp(features, params)
     logits = cls_logits.data.astype(np.float64)
@@ -462,28 +475,20 @@ def roi_predict(fpn_levels, proposals_per_image, params, num_classes,
     fg = probs[:, 1:num_classes + 1]
     # (row, class) pairs in row-major order, as a loop over rows then
     # classes would emit them
-    rows, cols = np.nonzero(~((fg <= probs[:, :1]) | (fg < score_floor)))
+    rows, cols = np.nonzero(~((fg <= probs[:, :1]) | (fg < SCORE_FLOOR)))
     deltas = reg.data.reshape(len(images), -1, 4)[rows, cols]
     all_boxes = decode_deltas(deltas, xywh_to_cxcywh(boxes[rows]))
     all_scores = fg[rows, cols]
     all_classes = cols + 1
     det_images = images[rows]
 
+    # one class-wise NMS over every image: a group per (image, class), so an
+    # image's kept boxes come out by (-score, class, x, y, w, h)
+    keep = nms(all_boxes, all_scores, DET_NMS_IOU,
+               groups=det_images * (num_classes + 1) + all_classes)
     out = []
     for img in range(n_images):
-        sel = det_images == img
-        if not sel.any():
-            out.append(_no_detections())
-            continue
-        boxes_i, scores_i = all_boxes[sel], all_scores[sel]
-        classes_i = all_classes[sel]
-        kept_all = []
-        for c in np.unique(classes_i):
-            idx = np.flatnonzero(classes_i == c)
-            keep = nms(boxes_i[idx], scores_i[idx], nms_thresh)
-            kept_all.extend(idx[keep])
-        kept_all = np.array(kept_all, dtype=np.int64)
-        order = np.argsort(-scores_i[kept_all], kind="stable")[:max_dets]
-        kept = kept_all[order]
-        out.append(DetectionSet(boxes_i[kept], scores_i[kept], classes_i[kept]))
+        kept = keep[det_images[keep] == img][:MAX_DETS]
+        out.append(DetectionSet(all_boxes[kept], all_scores[kept],
+                                all_classes[kept]))
     return out

@@ -185,7 +185,8 @@ def save_params(named_tensors, path):
 
 
 def load_params(path):
-    """Read an SFAW file back into a Params of tensors with requires_grad."""
+    """Read an SFAW file back into a Params of tensors without
+    requires_grad: a loaded model only infers, and builds no graph."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CKPT_MAGIC:
@@ -213,7 +214,7 @@ def load_params(path):
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r}"))
         n = int(np.prod(dims)) if rank else 1
         vals = np.frombuffer(take(4 * n, f"the values of {name!r}"), dtype="<f4")
-        out[name] = Tensor(vals.reshape(dims).copy(), requires_grad=True)
+        out[name] = Tensor(vals.reshape(dims).copy())
     if off != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after {count} records")
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import (dataclass, asdict, field, fields, make_dataclass,
+from dataclasses import (dataclass, field, fields, make_dataclass,
                          replace)
 from functools import reduce
 
@@ -76,13 +76,6 @@ class TrainConfig:
             raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
         if not (self.lr >= 0 and np.isfinite(self.lr)):
             raise ConfigError(f"lr must be non-negative and finite, got {self.lr}")
-
-
-def save_config(cfg: TrainConfig, path):
-    with open(path, "w") as f:
-        for k, v in asdict(cfg).items():
-            key = "lambda" if k == "lam" else k
-            f.write(f"{key}={v}\n")
 
 
 _BOOLS = {"true": True, "1": True, "yes": True,
@@ -165,7 +158,6 @@ class TrainState:
     optimizer: ad.Adam
     rng: np.random.Generator
     anchors: dict = field(default_factory=dict)   # (H, W) -> (A, 4) anchors
-    step: int = 0
 
     @property
     def in_bands(self) -> int:
@@ -243,7 +235,6 @@ def train_step(state: TrainState, source_samples, target_cubes) -> LossBreakdown
     total.backward()
     state.optimizer.step()
     state.optimizer.zero_grad()
-    state.step += 1
     return breakdown
 
 

@@ -375,7 +375,8 @@ def evaluate_slow(dets, gts, area_lo=0.0, area_hi=float("inf"), max_dets=100):
 
 
 # ---------------------------------------------------------------------------
-# per-row NMS and per-ROI pooling, one box at a time
+# per-row NMS, per-class detection assembly and per-ROI pooling, one box,
+# class or ROI at a time
 
 
 def nms_loops(boxes, scores, thresh, max_keep=None):
@@ -396,6 +397,56 @@ def nms_loops(boxes, scores, thresh, max_keep=None):
             if alive[j] and iou_slow(boxes[i], boxes[j]) > thresh:
                 alive[j] = False
     return keep
+
+
+def roi_predict_loops(fpn_levels, proposals_per_image, params, num_classes):
+    """``detect.roi_predict`` as first written: the same scores and refined
+    boxes, then one NMS call per image and class, and a stable sort of each
+    image's class-major kept list by descending score."""
+    from sfadet import detect
+
+    def empty():
+        return detect.DetectionSet(np.zeros((0, 4)), np.zeros(0),
+                                   np.zeros(0, np.int64))
+
+    n_images = len(proposals_per_image)
+    if all(len(p) == 0 for p in proposals_per_image):
+        return [empty() for _ in range(n_images)]
+    features, images, boxes = detect._roi_features(fpn_levels,
+                                                   proposals_per_image)
+    cls_logits, reg = detect._roi_mlp(features, params)
+    logits = cls_logits.data.astype(np.float64)
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    fg = probs[:, 1:num_classes + 1]
+    rows, cols = np.nonzero(~((fg <= probs[:, :1])
+                              | (fg < detect.SCORE_FLOOR)))
+    deltas = reg.data.reshape(len(images), -1, 4)[rows, cols]
+    all_boxes = detect.decode_deltas(deltas,
+                                     detect.xywh_to_cxcywh(boxes[rows]))
+    all_scores = fg[rows, cols]
+    all_classes = cols + 1
+    det_images = images[rows]
+
+    out = []
+    for img in range(n_images):
+        sel = det_images == img
+        if not sel.any():
+            out.append(empty())
+            continue
+        boxes_i, scores_i = all_boxes[sel], all_scores[sel]
+        classes_i = all_classes[sel]
+        kept_all = []
+        for c in np.unique(classes_i):
+            idx = np.flatnonzero(classes_i == c)
+            keep = detect.nms(boxes_i[idx], scores_i[idx], detect.DET_NMS_IOU)
+            kept_all.extend(idx[keep])
+        kept_all = np.array(kept_all, dtype=np.int64)
+        order = np.argsort(-scores_i[kept_all], kind="stable")
+        kept = kept_all[order[:detect.MAX_DETS]]
+        out.append(detect.DetectionSet(boxes_i[kept], scores_i[kept],
+                                       classes_i[kept]))
+    return out
 
 
 def jitter_loops(gt_boxes, rng):

@@ -484,7 +484,7 @@ class TestAdam:
         # independent oracle: the Adam recurrence by hand
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
         p = Tensor([5.0], requires_grad=True)
-        opt = ad.Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = ad.Adam([p], lr=lr)
         m = v = 0.0
         ref = 5.0
         for t in range(1, 6):

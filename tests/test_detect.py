@@ -9,7 +9,7 @@ from sfadet import detect
 from sfadet.autodiff import Tensor
 from sfadet.ssam import FPN_WIDTH
 
-from oracles import check_grad, nms_loops
+from oracles import check_grad, nms_loops, roi_predict_loops, same_bits
 
 
 class TestIou:
@@ -172,6 +172,32 @@ class TestNms:
         # the early stop returns the prefix of the full pass
         full = detect.nms(boxes, scores, thresh)
         assert keep.tolist() == full[:max_keep].tolist()
+
+    # grid boxes as above, each in one of three groups
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                           st.integers(0, 8), st.integers(0, 8),
+                           st.sampled_from([0.2, 0.5, 0.9]),
+                           st.integers(0, 2)),
+                 max_size=60),
+        st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+        st.one_of(st.none(), st.integers(0, 12)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_groups_match_per_group_oracle(self, rows, thresh, max_keep):
+        boxes = np.array([r[:4] for r in rows], dtype=float).reshape(-1, 4)
+        scores = np.array([r[4] for r in rows])
+        groups = np.array([r[5] for r in rows], dtype=np.int64)
+        want = []
+        for g in np.unique(groups):
+            idx = np.flatnonzero(groups == g)
+            want += idx[nms_loops(boxes[idx], scores[idx], thresh)].tolist()
+        # each group's kept list is in its own visit order, so a stable sort
+        # by (-score, group, x, y, w, h) merges them
+        want.sort(key=lambda i: (-scores[i], groups[i], *boxes[i]))
+        keep = detect.nms(boxes, scores, thresh, max_keep=max_keep,
+                          groups=groups)
+        assert keep.tolist() == want[:max_keep]
 
 
 @pytest.fixture
@@ -458,16 +484,44 @@ class TestRoiHead:
         )
         assert len(dets) == 1 and len(dets[0]) == 0
 
-    def test_predict_scores_sorted_and_capped(self):
+    def test_predict_scores_sorted_and_capped(self, monkeypatch):
+        monkeypatch.setattr(detect, "SCORE_FLOOR", 0.0)
+        monkeypatch.setattr(detect, "MAX_DETS", 5)
         params = detect.init_detect_params(2, np.random.default_rng(1))
         rng = np.random.default_rng(10)
         fpn = tiny_fpn(rng, size=16)
         props = [np.stack([rng.uniform(0, 8, 30), rng.uniform(0, 8, 30),
                            rng.uniform(2, 8, 30), rng.uniform(2, 8, 30)], axis=1)]
-        dets = detect.roi_predict(fpn, props, params, num_classes=2,
-                                  score_floor=0.0, max_dets=5)
+        dets = detect.roi_predict(fpn, props, params, num_classes=2)
         assert len(dets[0]) <= 5
         assert np.all(np.diff(dets[0].scores) <= 1e-12)
+
+    # proposals on a coarse grid with duplicated rows, so exact score ties
+    # are common; scaled class and box weights, so many (row, class) pairs
+    # pass the score floor
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 4),
+           st.lists(st.integers(0, 40), min_size=3, max_size=3),
+           st.floats(0.5, 4.0), st.floats(0.5, 4.0))
+    @settings(max_examples=150, deadline=None)
+    def test_predict_matches_per_class_loops(self, seed, n_images,
+                                             num_classes, counts, cls_scale,
+                                             reg_scale):
+        rng = np.random.default_rng(seed)
+        params = detect.init_detect_params(num_classes, rng)
+        params["roi.cls.w"].data *= cls_scale
+        params["roi.reg.w"].data *= reg_scale
+        fpn = tiny_fpn(rng, n=n_images, size=16)
+        props = []
+        for n in counts[:n_images]:
+            p = rng.integers(0, 6, size=(n, 4)) * 2.0 + [0, 0, 2, 2]
+            dup = rng.random(n) < 0.3
+            props.append(np.concatenate([p, p[dup]]))
+        got = detect.roi_predict(fpn, props, params, num_classes)
+        want = roi_predict_loops(fpn, props, params, num_classes)
+        assert len(got) == len(want) == n_images
+        for g, w in zip(got, want):
+            for field in ("boxes", "scores", "classes"):
+                assert same_bits(getattr(g, field), getattr(w, field)), field
 
     def test_empty_proposals_give_empty_sets(self):
         params = detect.init_detect_params(1, np.random.default_rng(0))

@@ -251,6 +251,18 @@ class TestCheckpoint:
         for k, t in params.items():
             np.testing.assert_array_equal(back[k].data, t.data)
 
+    def test_loaded_params_build_no_graph(self, params, tmp_path):
+        # a loaded model only runs inference, so its forward keeps no
+        # backward closures (and none of the buffers they save)
+        path = tmp_path / "m.sfaw"
+        ssam.save_params(params, path)
+        back = ssam.load_params(path)
+        assert not any(t.requires_grad for t in back.values())
+        out = ssam.ssam_forward(batch(np.random.default_rng(2)), back)
+        for t in [out.reconstruction, out.bottleneck, out.domain_logit,
+                  *out.fpn_levels]:
+            assert t._bw is None and t._prev == ()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sfaw"
         path.write_bytes(b"XXXX" + b"\x00" * 16)

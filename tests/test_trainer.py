@@ -43,21 +43,10 @@ class TestConfig:
         assert (cfg.beta, cfg.lam, cfg.grl_scale) == (2.0, 0.25, -0.5)
         assert cfg.lr == 3e-4 and cfg.batch_size == 2
 
-    def test_round_trip(self, tmp_path):
-        cfg = TrainConfig(tau=0.3, iterations=7, ablation="no_sacm",
-                          sacm_normalize=True)
-        path = tmp_path / "cfg.txt"
-        trainer.save_config(cfg, path)
-        back = trainer.load_config(path)
-        assert back == cfg
-
     def test_lambda_alias_in_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("lambda=0.4\n")
         assert trainer.load_config(path).lam == 0.4
-        trainer.save_config(TrainConfig(), path)
-        assert "lambda=0.25" in path.read_text()
-        assert "lam=" not in path.read_text().replace("lambda=", "")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -129,8 +118,9 @@ class TestConfig:
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        trainer.save_config(TrainConfig(), path)
-        assert trainer.load_config(path, seed=99).seed == 99
+        path.write_text("seed=3\ntau=0.3\n")
+        cfg = trainer.load_config(path, seed=99)
+        assert (cfg.seed, cfg.tau) == (99, 0.3)
 
 
 class TestStandardize:
