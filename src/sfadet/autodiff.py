@@ -517,6 +517,28 @@ def _unfold3(f):
     return v
 
 
+def _up2_columns(x):
+    """The four phase convs' columns of an (N, C, H, W) array, as a
+    (4, C*2*2, N*H*(W+2)) array: [2a + b] holds phase (a, b)'s columns,
+    rows (c, t, s), read from each image's zero-padded (H+2, W+2) grid
+    flattened to one run, at positions i*(W+2) + j + (a + t)*(W+2) + b + s."""
+    n, c, h, wd = x.shape
+    wp = wd + 2
+    grid, m = (h + 2) * wp, h * wp
+    # 2 trailing zeros: the last row's extra positions read 2 past the grid
+    xpf = np.zeros((c, n, grid + 2), dtype=np.float32)
+    xp = xpf[:, :, :grid].reshape(c, n, h + 2, wp)
+    xp[:, :, 1:h + 1, 1:wd + 1] = x.transpose(1, 0, 2, 3)
+    s = xpf.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xpf,
+        shape=(2, 2, c, 2, 2, n, m),
+        strides=(wp * s[2], s[2], s[0], wp * s[2], s[2], s[1], s[2]),
+        writeable=False,
+    )
+    return np.ascontiguousarray(cols).reshape(4, 4 * c, n * m)
+
+
 def _conv2d_up2(x, w, b):
     """3x3, padding-1 conv of the nearest-2x upsampled input, as four 2x2
     phase convs on the low-resolution input (sub-pixel convolution).
@@ -528,8 +550,12 @@ def _conv2d_up2(x, w, b):
     the H*(W+2) positions i*(W+2) + j, j < W+2, so that every im2col and
     col2im run is one contiguous slice of it; the 2 extra columns per
     row are dropped in the forward and get a zero output gradient.
+    The columns, 16x the input, are not kept: the weight gradient builds
+    them again from the input, which the tape keeps when it needs a
+    gradient, as every decoder input does.
     """
-    n, c, h, wd = x.data.shape
+    xd = x.data
+    n, c, h, wd = xd.shape
     o = w.data.shape[0]
     wp = wd + 2
     grid, m = (h + 2) * wp, h * wp
@@ -537,29 +563,17 @@ def _conv2d_up2(x, w, b):
     # wf[2a + b] is (O, C*2*2): phase (a, b)'s kernel, rows t, columns s
     wf = _fold3(_fold3(w.data).swapaxes(-1, -2)).swapaxes(-1, -2)
     wf = wf.reshape(4, o, 4 * c)
-    # 2 trailing zeros: the last row's extra positions read 2 past the grid
-    xpf = np.zeros((c, n, grid + 2), dtype=np.float32)
-    xp = xpf[:, :, :grid].reshape(c, n, h + 2, wp)
-    xp[:, :, 1:h + 1, 1:wd + 1] = x.data.transpose(1, 0, 2, 3)
-    s = xpf.strides
-    # cols[2a + b] is (C*2*2, N*H*(W+2)): phase (a, b)'s columns
-    cols = np.lib.stride_tricks.as_strided(
-        xpf,
-        shape=(2, 2, c, 2, 2, n, m),
-        strides=(wp * s[2], s[2], s[0], wp * s[2], s[2], s[1], s[2]),
-        writeable=False,
-    )
-    cols = np.ascontiguousarray(cols).reshape(4, 4 * c, p)
-    del xpf, xp
-    res = np.matmul(wf, cols).reshape(2, 2, o, n, h, wp)[..., :wd]
+    res = np.matmul(wf, _up2_columns(xd)).reshape(2, 2, o, n, h, wp)[..., :wd]
     out = np.empty((n, o, 2 * h, 2 * wd), dtype=np.float32)
     out6 = out.reshape(n, o, h, 2, wd, 2)
+    bias = b.data.reshape(o, 1, 1)
     for a in range(2):
         for bb in range(2):
-            out6[:, :, :, a, :, bb] = res[a, bb].transpose(1, 0, 2, 3)
+            np.add(res[a, bb].transpose(1, 0, 2, 3), bias,
+                   out=out6[:, :, :, a, :, bb])
     del res, out6
-    out += b.data.reshape(o, 1, 1)
     tx, tw, tb = _needing_grad(x, w, b)
+    xd = xd if tw is not None else None
 
     def bw(g):
         if tb is not None:
@@ -573,8 +587,8 @@ def _conv2d_up2(x, w, b):
                 g4[a, bb, ..., :wd] = g6[:, :, :, a, :, bb].transpose(1, 0, 2, 3)
         g4 = g4.reshape(4, o, p)
         if tw is not None:
-            gwf = np.matmul(cols, g4.transpose(0, 2, 1)).transpose(0, 2, 1)
-            gwf = gwf.reshape(2, 2, o, c, 2, 2)
+            gwf = np.matmul(_up2_columns(xd), g4.transpose(0, 2, 1))
+            gwf = gwf.transpose(0, 2, 1).reshape(2, 2, o, c, 2, 2)
             _acc(tw, _unfold3(_unfold3(gwf.swapaxes(-1, -2)).swapaxes(-1, -2)))
         if tx is not None:
             gcols = np.matmul(wf.transpose(0, 2, 1), g4)

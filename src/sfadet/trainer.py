@@ -242,9 +242,12 @@ def _objective(state: TrainState, source_samples, target_cubes):
     """The step's weighted total, as a graph, and its LossBreakdown.
 
     Only the total leaves this function, so the graph is all that keeps the
-    forward's buffers alive, and backward frees each one at its last use;
-    outputs no loss reads, such as the target flow's FPN levels under
-    ``target_rpn="off"``, are freed on return.
+    forward's buffers alive, and backward frees each one at its last use.
+    What no later forward op reads is dropped at its last forward use, so
+    that it is gone before the RPN and ROI stage, where the step's memory
+    peaks: the two input batches after the reconstruction losses, and,
+    under ``target_rpn="off"``, the target flow's FPN levels 1 and 2 with
+    the graph nodes only they keep. No node is created in another order.
     """
     cfg = state.cfg
     use_ae = cfg.ablation != "no_ssam_sacm"
@@ -271,6 +274,9 @@ def _objective(state: TrainState, source_samples, target_cubes):
     if use_sacm:
         terms["l_sacm"] = sacm.sacm_loss(src_out.bottleneck, tgt_out.bottleneck,
                                          normalize=cfg.sacm_normalize)
+    # the target flow's FPN levels feed only its RPN loss
+    tgt_levels = tgt_out.fpn_levels if cfg.target_rpn == "background" else None
+    del src, tgt, tgt_out
 
     gts = [np.asarray(s.boxes, dtype=np.float64).reshape(-1, 4)
            for s in source_samples]
@@ -294,7 +300,7 @@ def _objective(state: TrainState, source_samples, target_cubes):
     )
 
     if cfg.target_rpn == "background":
-        t_logits, t_deltas = detect.rpn_forward(tgt_out.fpn_levels, state.params)
+        t_logits, t_deltas = detect.rpn_forward(tgt_levels, state.params)
         terms["l_t_rpn"] = _per_image_rpn_loss(
             _anchors_for(state.anchors, *tgt_hw), t_logits, t_deltas,
             [[] for _ in target_cubes], rpn_rng
@@ -383,6 +389,9 @@ def infer(params, in_bands, num_classes, cubes, cfg: TrainConfig = None):
                 f"cube has {c.bands} bands but the model expects {in_bands}; "
                 f"run band matching first"
             )
+    # views of the parameters that need no gradient: inference builds no
+    # graph, even on a model being trained
+    params = ssam.Params({k: Tensor(t.data) for k, t in params.items()})
     anchor_cache = {}
     out = []
     for cube in cubes:

@@ -7,7 +7,7 @@ alignment loss and the evaluator.
 
 import numpy as np
 
-from sfadet.autodiff import GradError, Tensor
+from sfadet.autodiff import GradError, Tensor, _fold3, _unfold3
 
 
 def numerical_grad(f, arrays, which, h=1e-3):
@@ -548,6 +548,62 @@ def conv2d_batch_major(x, w, b, g, stride, padding):
                kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
     if padding:
         gx = gx[:, :, padding:-padding, padding:-padding]
+    return out, gx, gw, gb
+
+
+def conv2d_up2_keep_columns(x, w, b, g):
+    """The sub-pixel conv of ``conv2d(..., upsample=2)`` as first written:
+    the forward keeps its (4, C*2*2, N*H*(W+2)) phase columns for the
+    weight gradient and adds the bias in a pass of its own. Returns the
+    float32 (out, gx, gw, gb) for output gradient ``g``."""
+    n, c, h, wd = x.shape
+    o = w.shape[0]
+    wp = wd + 2
+    grid, m = (h + 2) * wp, h * wp
+    p = n * m
+    wf = _fold3(_fold3(w).swapaxes(-1, -2)).swapaxes(-1, -2)
+    wf = wf.reshape(4, o, 4 * c)
+    xpf = np.zeros((c, n, grid + 2), dtype=np.float32)
+    xp = xpf[:, :, :grid].reshape(c, n, h + 2, wp)
+    xp[:, :, 1:h + 1, 1:wd + 1] = x.transpose(1, 0, 2, 3)
+    s = xpf.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xpf,
+        shape=(2, 2, c, 2, 2, n, m),
+        strides=(wp * s[2], s[2], s[0], wp * s[2], s[2], s[1], s[2]),
+        writeable=False,
+    )
+    cols = np.ascontiguousarray(cols).reshape(4, 4 * c, p)
+    res = np.matmul(wf, cols).reshape(2, 2, o, n, h, wp)[..., :wd]
+    out = np.empty((n, o, 2 * h, 2 * wd), dtype=np.float32)
+    out6 = out.reshape(n, o, h, 2, wd, 2)
+    for a in range(2):
+        for bb in range(2):
+            out6[:, :, :, a, :, bb] = res[a, bb].transpose(1, 0, 2, 3)
+    out += b.reshape(o, 1, 1)
+
+    gb = g.reshape(n, o, 4 * h * wd).sum(axis=(0, 2))
+    g6 = g.reshape(n, o, h, 2, wd, 2)
+    g4 = np.empty((2, 2, o, n, h, wp), dtype=np.float32)
+    g4[..., wd:] = 0
+    for a in range(2):
+        for bb in range(2):
+            g4[a, bb, ..., :wd] = g6[:, :, :, a, :, bb].transpose(1, 0, 2, 3)
+    g4 = g4.reshape(4, o, p)
+    gwf = np.matmul(cols, g4.transpose(0, 2, 1)).transpose(0, 2, 1)
+    gwf = gwf.reshape(2, 2, o, c, 2, 2)
+    gw = _unfold3(_unfold3(gwf.swapaxes(-1, -2)).swapaxes(-1, -2))
+    gcols = np.matmul(wf.transpose(0, 2, 1), g4).reshape(2, 2, c, 2, 2, n, m)
+    gxpf = np.zeros((c, n, grid + 2), dtype=np.float32)
+    for r in range(3):
+        for q in range(3):
+            parts = [gcols[a, bb, :, r - a, q - bb]
+                     for a in range(max(0, r - 1), min(r, 1) + 1)
+                     for bb in range(max(0, q - 1), min(q, 1) + 1)]
+            off = r * wp + q
+            gxpf[:, :, off:off + m] += sum(parts[1:], parts[0])
+    gxp = gxpf[:, :, :grid].reshape(c, n, h + 2, wp)
+    gx = np.ascontiguousarray(gxp[:, :, 1:h + 1, 1:wd + 1].transpose(1, 0, 2, 3))
     return out, gx, gw, gb
 
 

@@ -9,7 +9,8 @@ from sfadet import autodiff as ad
 from sfadet.autodiff import Tensor
 
 from oracles import (check_grad, conv2d_batch_major, conv2d_up2_f64,
-                     roi_pool_loops, same_bits, upsample_nearest2d_grad_reshape)
+                     conv2d_up2_keep_columns, roi_pool_loops, same_bits,
+                     upsample_nearest2d_grad_reshape)
 
 
 def randn(rng, *shape):
@@ -432,6 +433,30 @@ def test_conv2d_upsample_on_decoder_shapes(c, o, h):
     # dec1, dec2 and dec3 at batch 6 on 64x64, 60-band scenes
     _conv2d_up2_matches_unfused_and_f64(np.random.default_rng(c * o + h), 6,
                                         c, o, h, h)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 8),
+       st.integers(1, 8),
+       st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True))
+@settings(max_examples=60, deadline=None)
+# dec1, dec2 and dec3 at batch 6 on 64x64, 60-band scenes
+@example(seed=0, n=6, c=64, o=32, hw=[8, 8])
+@example(seed=1, n=6, c=32, o=16, hw=[16, 16])
+@example(seed=2, n=6, c=16, o=60, hw=[32, 32])
+def test_conv2d_upsample_matches_keep_columns_oracle(seed, n, c, o, hw):
+    # rebuilding the phase columns in backward and adding the bias while
+    # interleaving the phases gives the bits of the conv that kept them
+    rng = np.random.default_rng(seed)
+    h, w = hw
+    x, wt, b = randn(rng, n, c, h, w), randn(rng, o, c, 3, 3), randn(rng, o)
+    g = randn(rng, n, o, 2 * h, 2 * w)
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+    out = ad.conv2d(tx, tw, tb, padding=1, upsample=2)
+    out.backward(g)
+    got = (out.data, tx.grad, tw.grad, tb.grad)
+    for name, a, want in zip(("out", "gx", "gw", "gb"), got,
+                             conv2d_up2_keep_columns(x, wt, b, g)):
+        assert same_bits(a, want), name
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5),

@@ -1,10 +1,11 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfadet import detect, hsi, trainer
+from sfadet import detect, hsi, ssam, trainer
 from sfadet.hsi import AnnotatedSample, HyperCube, HeldOutAnnotationError
 from sfadet.trainer import ConfigError, LOSS_FIELDS, LossBreakdown, TrainConfig
 
@@ -251,16 +252,21 @@ class TestTrainLoop:
 
 
 class TestConsumedTape:
-    @pytest.mark.parametrize("ablation", ["full", "no_ssam_sacm"])
-    def test_training_matches_whole_tape_backward(self, ablation,
+    @pytest.mark.parametrize("ablation,target_rpn", [
+        pytest.param("full", "off", id="full"),
+        pytest.param("no_ssam_sacm", "off", id="no_ssam_sacm"),
+        pytest.param("full", "background", id="full-background"),
+        pytest.param("no_sacm", "off", id="no_sacm"),
+    ])
+    def test_training_matches_whole_tape_backward(self, ablation, target_rpn,
                                                   monkeypatch):
-        # criterion 9's train settings on small scenes: backward that frees
+        # criterion 9's train settings on small scenes: a step that frees
         # each buffer at its last use must give the bits of a sweep that
         # keeps the whole tape
         src, tgt = hsi.generate_domain_pair(hsi.SynthConfig(
             seed=1, image_size=32, num_source=8, num_target=8))
         cfg = TrainConfig(ablation=ablation, iterations=4, batch_size=6,
-                          lr=1e-3, target_rpn="off", seed=2)
+                          lr=1e-3, target_rpn=target_rpn, seed=2)
 
         def run():
             state, history = trainer.train(cfg, src, tgt)
@@ -275,6 +281,47 @@ class TestConsumedTape:
         assert all(same_bits(params[k], want_params[k]) for k in params)
         assert all(same_bits(a, b) for a, b in zip(history, want_history))
         assert len(history) == len(want_history) == 4
+
+    def test_dead_forward_buffers_gone_before_roi_stage(self, monkeypatch):
+        # the step's memory peaks in the RPN and ROI stage: by then the
+        # input batches and the target flow's unread FPN level 1 are freed,
+        # and no decoder conv keeps its columns
+        src, tgt = hsi.generate_domain_pair(hsi.SynthConfig(
+            seed=1, image_size=32, num_source=4, num_target=4))
+        cfg = TrainConfig(iterations=1, batch_size=4, target_rpn="off")
+        batches, levels1, alive = [], [], []
+        batch_tensor, forward, roi_loss = (trainer._batch_tensor,
+                                           ssam.ssam_forward, detect.roi_loss)
+
+        def spy_batch(cubes):
+            batch = batch_tensor(cubes)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        def spy_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            levels1.append(weakref.ref(out.fpn_levels[0]))
+            bw = out.reconstruction._bw
+            cells = dict(zip(bw.__code__.co_freevars,
+                             (c.cell_contents for c in bw.__closure__)))
+            biggest_input = max(t.data.nbytes
+                                for t in out.reconstruction._prev)
+            assert "cols" not in cells
+            assert all(v.nbytes <= biggest_input for v in cells.values()
+                       if isinstance(v, np.ndarray))
+            return out
+
+        def spy_roi_loss(*args, **kwargs):
+            alive.extend(ref() is not None
+                         for ref in batches + levels1[1:])
+            return roi_loss(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_batch_tensor", spy_batch)
+        monkeypatch.setattr(ssam, "ssam_forward", spy_forward)
+        monkeypatch.setattr(detect, "roi_loss", spy_roi_loss)
+        trainer.train(cfg, src, tgt)
+        assert len(batches) == len(levels1) == 2
+        assert alive == [False, False, False]
 
 
 class TestFirewall:
@@ -327,6 +374,23 @@ class TestCheckpointAndInfer:
         bad = HyperCube(np.zeros((4, 16, 16), dtype=np.float32))
         with pytest.raises(ValueError, match="band"):
             trainer.infer(state.params, 6, 1, [bad])
+
+    def test_infer_builds_no_graph_on_trainable_params(self, monkeypatch):
+        state = trainer.init_state(quick_cfg(), 6, 1)
+        levels = []
+        forward = ssam.ssam_forward
+
+        def spy(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            levels.extend(out.fpn_levels)
+            return out
+
+        monkeypatch.setattr(ssam, "ssam_forward", spy)
+        cube = make_sample(np.random.default_rng(3)).cube
+        trainer.infer(state.params, 6, 1, [cube])
+        assert len(levels) == 3
+        assert all(t._bw is None and t._prev == () for t in levels)
+        assert all(t.requires_grad for t in state.params.values())
 
     def test_untrained_zero_head_detects_nothing(self):
         rng = np.random.default_rng(7)
