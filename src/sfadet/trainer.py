@@ -389,9 +389,6 @@ def infer(params, in_bands, num_classes, cubes, cfg: TrainConfig = None):
                 f"cube has {c.bands} bands but the model expects {in_bands}; "
                 f"run band matching first"
             )
-    # views of the parameters that need no gradient: inference builds no
-    # graph, even on a model being trained
-    params = ssam.Params({k: Tensor(t.data) for k, t in params.items()})
     anchor_cache = {}
     out = []
     for cube in cubes:

@@ -375,23 +375,6 @@ class TestCheckpointAndInfer:
         with pytest.raises(ValueError, match="band"):
             trainer.infer(state.params, 6, 1, [bad])
 
-    def test_infer_builds_no_graph_on_trainable_params(self, monkeypatch):
-        state = trainer.init_state(quick_cfg(), 6, 1)
-        levels = []
-        forward = ssam.ssam_forward
-
-        def spy(*args, **kwargs):
-            out = forward(*args, **kwargs)
-            levels.extend(out.fpn_levels)
-            return out
-
-        monkeypatch.setattr(ssam, "ssam_forward", spy)
-        cube = make_sample(np.random.default_rng(3)).cube
-        trainer.infer(state.params, 6, 1, [cube])
-        assert len(levels) == 3
-        assert all(t._bw is None and t._prev == () for t in levels)
-        assert all(t.requires_grad for t in state.params.values())
-
     def test_untrained_zero_head_detects_nothing(self):
         rng = np.random.default_rng(7)
         state = trainer.init_state(quick_cfg(), 6, 1)
