@@ -5,6 +5,7 @@ pixels with a top-left origin unless noted; anchors are (cx, cy, w, h).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,17 @@ def generate_anchors(level_shapes):
             anchors[..., k, 3] = ah
         out.append(anchors.reshape(-1, 4))
     return np.concatenate(out, axis=0)
+
+
+@functools.cache
+def anchors_for(h, w):
+    """The (A, 4) anchors of an H x W image, built once per shape.
+
+    Every caller gets the same array, so it is read-only.
+    """
+    anchors = generate_anchors([(h // s, w // s) for s in STRIDES])
+    anchors.flags.writeable = False
+    return anchors
 
 
 def levels_for_boxes(boxes_xywh):

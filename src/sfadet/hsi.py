@@ -151,11 +151,17 @@ def read_cube(path) -> HyperCube:
     version, w, h, l, res = struct.unpack_from("<HIIIf", raw, 4)
     if version != VERSION:
         raise CubeFormatError(f"{path}: unsupported version {version}")
+    if min(w, h, l) < 1:
+        raise CubeFormatError(f"{path}: cube dims must be >= 1, got {(l, h, w)}")
     off = 4 + struct.calcsize("<HIIIf")
     need = w * h * l * 4
     if len(raw) - off < need:
         raise CubeTruncationError(
             f"{path}: payload has {len(raw) - off} bytes, need {need}"
+        )
+    if len(raw) - off > need:
+        raise CubeFormatError(
+            f"{path}: {len(raw) - off - need} trailing bytes after the payload"
         )
     vals = np.frombuffer(raw, dtype="<f4", count=w * h * l, offset=off)
     if not np.all(np.isfinite(vals)):

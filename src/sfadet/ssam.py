@@ -22,7 +22,7 @@ DC_HIDDEN = 16
 STRIDE_TOTAL = 8
 
 CKPT_MAGIC = b"SFAW"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 class CheckpointError(ValueError):

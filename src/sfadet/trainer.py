@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import (dataclass, field, fields, make_dataclass,
-                         replace)
+from dataclasses import dataclass, fields, make_dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -154,14 +153,17 @@ def _batch_tensor(cubes):
 class TrainState:
     cfg: TrainConfig
     params: ssam.Params           # name -> Tensor (backbone + heads)
-    num_classes: int
     optimizer: ad.Adam
     rng: np.random.Generator
-    anchors: dict = field(default_factory=dict)   # (H, W) -> (A, 4) anchors
 
     @property
     def in_bands(self) -> int:
         return self.params["enc1.w"].shape[1]
+
+    @property
+    def num_classes(self) -> int:
+        # one column per class, plus background
+        return self.params["roi.cls.w"].shape[1] - 1
 
 
 def init_state(cfg: TrainConfig, in_bands, num_classes) -> TrainState:
@@ -170,8 +172,7 @@ def init_state(cfg: TrainConfig, in_bands, num_classes) -> TrainState:
     params.update(detect.init_detect_params(num_classes, rng))
     active = _active_params(params, cfg)
     opt = ad.Adam(active, lr=cfg.lr)
-    return TrainState(cfg=cfg, params=params, num_classes=num_classes,
-                      optimizer=opt, rng=rng)
+    return TrainState(cfg=cfg, params=params, optimizer=opt, rng=rng)
 
 
 def _active_params(params, cfg):
@@ -181,16 +182,6 @@ def _active_params(params, cfg):
         skip_prefixes = ("dec", "dc")
     return [t for k, t in sorted(params.items())
             if not k.startswith(skip_prefixes)]
-
-
-def _anchors_for(cache, h, w):
-    """The anchors of an H x W input, generated once per shape and kept in
-    ``cache``, a dict keyed by (H, W)."""
-    if (h, w) not in cache:
-        cache[(h, w)] = detect.generate_anchors(
-            [(h // s, w // s) for s in detect.STRIDES]
-        )
-    return cache[(h, w)]
 
 
 def _per_image_rpn_loss(anchors, logits, deltas, gt_boxes_list, rng):
@@ -284,7 +275,7 @@ def _objective(state: TrainState, source_samples, target_cubes):
     # with identical inputs and parameters yields an identical loss
     rpn_rng = np.random.default_rng(cfg.seed)
     s_logits, s_deltas = detect.rpn_forward(src_out.fpn_levels, state.params)
-    src_anchors = _anchors_for(state.anchors, *src_hw)
+    src_anchors = detect.anchors_for(*src_hw)
     terms["l_s_rpn"] = _per_image_rpn_loss(src_anchors, s_logits, s_deltas,
                                            gts, rpn_rng)
 
@@ -302,7 +293,7 @@ def _objective(state: TrainState, source_samples, target_cubes):
     if cfg.target_rpn == "background":
         t_logits, t_deltas = detect.rpn_forward(tgt_levels, state.params)
         terms["l_t_rpn"] = _per_image_rpn_loss(
-            _anchors_for(state.anchors, *tgt_hw), t_logits, t_deltas,
+            detect.anchors_for(*tgt_hw), t_logits, t_deltas,
             [[] for _ in target_cubes], rpn_rng
         )
 
@@ -316,30 +307,27 @@ def _objective(state: TrainState, source_samples, target_cubes):
     return total, breakdown
 
 
-def _atomic_save(named, path):
+def save_checkpoint(state: TrainState, path):
+    """Write the model's parameters, and nothing else, to ``path``."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     os.close(fd)
     try:
-        ssam.save_params(named, tmp)
+        ssam.save_params(state.params, tmp)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def save_checkpoint(state: TrainState, path):
-    named = dict(state.params)
-    named["meta.in_bands"] = Tensor(np.float32(state.in_bands))
-    named["meta.num_classes"] = Tensor(np.float32(state.num_classes))
-    _atomic_save(named, path)
-
-
 def load_checkpoint(path):
-    named = ssam.load_params(path)
-    in_bands = int(named.pop("meta.in_bands").data)
-    num_classes = int(named.pop("meta.num_classes").data)
-    return named, in_bands, num_classes
+    """(params, in_bands, num_classes) of a checkpoint; the two counts are
+    read off the ``enc1.w`` and ``roi.cls.w`` tensors."""
+    params = ssam.load_params(path)
+    for layer in ("enc1.w", "roi.cls.w"):
+        if layer not in params:
+            raise ssam.CheckpointError(f"{path}: missing layer {layer!r}")
+    return params, params["enc1.w"].shape[1], params["roi.cls.w"].shape[1] - 1
 
 
 def train(cfg: TrainConfig, source_samples, target_samples,
@@ -389,17 +377,15 @@ def infer(params, in_bands, num_classes, cubes, cfg: TrainConfig = None):
                 f"cube has {c.bands} bands but the model expects {in_bands}; "
                 f"run band matching first"
             )
-    anchor_cache = {}
     out = []
     for cube in cubes:
         batch = _batch_tensor([cube])
         fwd = ssam.ssam_forward(batch, params, with_decoder=False,
                                 with_classifier=False)
         h, w = batch.shape[2], batch.shape[3]
-        anchors = _anchors_for(anchor_cache, h, w)
         logits, deltas = detect.rpn_forward(fwd.fpn_levels, params)
-        props = detect.rpn_proposals(logits, deltas, anchors, (h, w),
-                                     pre_nms=400,
+        props = detect.rpn_proposals(logits, deltas, detect.anchors_for(h, w),
+                                     (h, w), pre_nms=400,
                                      post_nms=cfg.proposals_infer)
         dets = detect.roi_predict(fwd.fpn_levels, [props[0][0]], params,
                                   num_classes)

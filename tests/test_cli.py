@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sfadet import cli, hsi
+from sfadet import cli, hsi, ssam
 
 
 def run(*argv):
@@ -217,6 +217,35 @@ class TestTrainInferEval:
                    "--annotations", str(ann)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {dets}: detection #1: {cause}\n"
+
+
+class TestInferCheckpointErrors:
+    def _infer(self, data, ckpt, tmp_path):
+        return run("infer", "--checkpoint", str(ckpt),
+                   "--dataset", os.path.join(data, "target"),
+                   "--out", str(tmp_path / "dets.json"))
+
+    @pytest.mark.parametrize("layer", ["enc1.w", "roi.cls.w"])
+    def test_missing_layer_is_one_line_error(self, trained, tmp_path, capsys,
+                                             layer):
+        _, data, out = trained
+        params = ssam.load_params(os.path.join(out, "model.sfaw"))
+        del params[layer]
+        ckpt = tmp_path / "cut.sfaw"
+        ssam.save_params(params, ckpt)
+        assert self._infer(data, ckpt, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: missing layer {layer!r}\n"
+
+    def test_version_1_checkpoint_is_one_line_error(self, trained, tmp_path,
+                                                    capsys):
+        _, data, out = trained
+        raw = open(os.path.join(out, "model.sfaw"), "rb").read()
+        ckpt = tmp_path / "v1.sfaw"
+        ckpt.write_bytes(raw[:4] + b"\x01\x00" + raw[6:])
+        assert self._infer(data, ckpt, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: unsupported version 1\n"
 
 
 class TestGram:

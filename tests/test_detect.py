@@ -88,6 +88,15 @@ class TestAnchors:
         np.testing.assert_allclose(lvl0[0, 0, :, 0], 1.0)  # (0.5)*stride2
         np.testing.assert_allclose(lvl0[1, 1, :, 1], 3.0)
 
+    @pytest.mark.parametrize("h,w", [(64, 64), (32, 96)])
+    def test_anchors_for_image_shape_built_once_and_read_only(self, h, w):
+        anchors = detect.anchors_for(h, w)
+        assert detect.anchors_for(h, w) is anchors
+        with pytest.raises(ValueError, match="read-only"):
+            anchors[0, 0] = 0.0
+        np.testing.assert_array_equal(anchors, detect.generate_anchors(
+            [(h // s, w // s) for s in detect.STRIDES]))
+
     @pytest.mark.parametrize(
         "wh,lvl",
         [((16, 16), 1), ((8, 8), 1), ((32, 32), 2), ((40, 40), 2),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ class TestCubeIO:
         write_cube(small_cube(), path)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(hsi.CubeTruncationError):
+            read_cube(path)
+
+    # header: magic (4), version (2), width, height and bands (4 each),
+    # spectral resolution (4); small_cube() is 3 bands of 2 x 2
+    @pytest.mark.parametrize("edit,cause", [
+        (lambda raw: raw[:6] + b"\x00" * 4 + raw[10:],
+         "cube dims must be >= 1, got (3, 2, 0)"),
+        (lambda raw: raw + b"\x00" * 8, "8 trailing bytes after the payload"),
+    ], ids=["zero_width", "trailing_bytes"])
+    def test_malformed_cube_names_path(self, tmp_path, edit, cause):
+        path = tmp_path / "c.hsic"
+        write_cube(small_cube(), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(hsi.CubeFormatError,
+                           match=f"^{re.escape(str(path))}: {re.escape(cause)}$"):
             read_cube(path)
 
     def test_non_finite_payload(self, tmp_path):

@@ -361,6 +361,15 @@ class TestCheckpointAndInfer:
         assert in_bands == 6 and num_classes == 1
         for k, t in state.params.items():
             np.testing.assert_array_equal(params[k].data, t.data)
+        # the file holds the parameters and nothing else, as SFAW version 2
+        assert set(ssam.load_params(path)) == set(state.params)
+        assert path.read_bytes()[:6] == ssam.CKPT_MAGIC + b"\x02\x00"
+
+    def test_load_returns_the_counts_the_model_was_built_with(self, tmp_path):
+        path = tmp_path / "m.sfaw"
+        trainer.save_checkpoint(trainer.init_state(quick_cfg(), 7, 3), path)
+        _, in_bands, num_classes = trainer.load_checkpoint(path)
+        assert (in_bands, num_classes) == (7, 3)
 
     def test_infer_deterministic_and_band_checked(self, datasets):
         src, tgt = datasets
@@ -399,6 +408,7 @@ class TestCheckpointAndInfer:
             return generate(level_shapes)
 
         monkeypatch.setattr(detect, "generate_anchors", counted)
+        detect.anchors_for.cache_clear()
         together = trainer.infer(state.params, 6, 1, cubes)
         assert len(shapes) == 2
         assert len(together) == len(cubes)
@@ -448,7 +458,6 @@ class TestAnchorCache:
             tgt = [sample(h, w, 10 + i, held_out=True).cube for i in range(2)]
             bd = trainer.train_step(state, src, tgt)
             assert np.isfinite(bd.total)
-        assert set(state.anchors) == {(64, 64), (32, 96)}
         per_location = len(detect.ASPECT_RATIOS)
-        assert state.anchors[(32, 96)].shape == (per_location * sum(
+        assert detect.anchors_for(32, 96).shape == (per_location * sum(
             (32 // s) * (96 // s) for s in detect.STRIDES), 4)
