@@ -12,6 +12,9 @@ float32 to keep Frobenius norms stable on wide cubes.
 Convolution unrolls its input once per call into channel-major columns, a
 (C*k*k, N*Ho*Wo) array whose column n*Ho*Wo + i is output position i of
 image n; the per-image GEMMs and the weight gradient read views of it.
+A conv keeps its columns for the weight gradient only when its input is
+a leaf; an input that needs a gradient is kept by the tape anyway, and
+backward builds its columns again from it.
 With ``upsample=2``, a 3x3 conv of the nearest-2x upsampled input runs as
 four 2x2 sub-pixel phase convs on the low-resolution input, one per
 output pixel phase, whose taps are sums of the 3x3 taps.
@@ -456,41 +459,91 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
             f"conv2d: spatial dims {x.data.shape} too small for kernel {k} "
             f"with padding {padding}"
         )
-    cols, ho, wo = _im2col(x.data, k, stride, padding)
+    cols, ho, wo = _columns(x.data, k, stride, padding, o)
     ckk, p = c * k * k, ho * wo
     wmat = w.data.reshape(o, ckk)
-    # OpenBLAS picks its kernel, and with it the order of each dot
-    # product's sum, from the matrix sizes and operand layouts. The
-    # products below have the sizes and layouts of conv2d_batch_major in
-    # tests/oracles.py, so they give its sums and signed zeros: one GEMM
-    # per image, and a C-ordered copy where numpy uses gemv, dot or
-    # einsum's own loops (o == 1 or p == 1), which read strided operands
-    # in another order.
-    if o == 1 or p == 1:
-        cols = cols.copy()
     out = np.matmul(wmat, cols)
     out += b.data.reshape(o, 1)
     out = out.reshape(n, o, ho, wo)
     tx, tw, tb = _needing_grad(x, w, b)
+    # the weight gradient reads the columns. An input that needs a
+    # gradient is kept by the tape anyway, so the columns are built again
+    # from it; only a conv on a leaf input keeps its columns
+    xd = x.data if tw is not None and tx is not None else None
+    cols = cols if tw is not None and tx is None else None
 
     def bw(g):
         gout = g.reshape(n, o, p)
         if tw is not None:
             # einsum's GEMM reads cols as (C*k*k, N*Ho*Wo): a view of the
-            # channel-major buffer, unless cols is x or the copy above
-            gw = np.einsum("nop,ncp->oc", gout, cols, optimize=True)
+            # channel-major buffer, unless cols is x or _columns' copy
+            cw = cols if xd is None else _columns(xd, k, stride, padding, o)[0]
+            gw = np.einsum("nop,ncp->oc", gout, cw, optimize=True)
+            del cw
             _acc(tw, gw.reshape(o, c, k, k))
         if tb is not None:
             _acc(tb, gout.sum(axis=(0, 2)))
         if tx is not None:
-            gcols = np.matmul(wmat.T, gout).reshape(n, c, k, k, ho, wo)
-            gx = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=np.float32)
-            for ki in range(k):
-                for kj in range(k):
-                    gx[:, :, ki : ki + stride * ho : stride,
-                       kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
-            del gcols
-            _acc(tx, gx[:, :, padding:padding + h, padding:padding + wd])
+            _acc(tx, _col2im(wmat, gout, (n, c, h, wd), k, stride, padding,
+                             ho, wo))
+
+    return _node(out, (x, w, b), bw)
+
+
+def _columns(x, k, stride, padding, o):
+    """``_im2col`` of ``x`` for a conv of ``o`` output channels, laid out
+    as the GEMMs of conv2d read them.
+
+    OpenBLAS picks its kernel, and with it the order of each dot
+    product's sum, from the matrix sizes and operand layouts. The
+    products of conv2d have the sizes and layouts of conv2d_batch_major
+    in tests/oracles.py, so they give its sums and signed zeros: one GEMM
+    per image, and a C-ordered copy where numpy uses gemv, dot or
+    einsum's own loops (o == 1 or Ho*Wo == 1), which read strided
+    operands in another order.
+    """
+    cols, ho, wo = _im2col(x, k, stride, padding)
+    if o == 1 or ho * wo == 1:
+        cols = cols.copy()
+    return cols, ho, wo
+
+
+def _col2im(wmat, gout, shape, k, stride, padding, ho, wo):
+    """Input gradient of a conv: the per-image GEMM ``wmat.T @ gout``,
+    whose (C, k, k) rows are each added to the padded input gradient at
+    its tap's offset, in tap order onto zeros.
+
+    At stride 1 this runs on each image's padded (Hp, Wp) grid flattened
+    to one run, as ``_conv2d_up2`` does: the output gradient is
+    zero-extended to Ho x Wp, so that each tap adds one contiguous
+    Ho*Wp run per (image, channel), at offset ki*Wp + kj. The extra
+    columns hold products of zeros, which leave every sum of real terms
+    as it was: a running sum that starts at +0 never holds -0.
+    """
+    n, c, h, wd = shape
+    o = gout.shape[1]
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    if stride == 1:
+        m = ho * wp
+        gext = np.zeros((n, o, ho, wp), dtype=np.float32)
+        gext[..., :wo] = gout.reshape(n, o, ho, wo)
+        gcols = np.matmul(wmat.T, gext.reshape(n, o, m)).reshape(n, c, k * k, m)
+        del gext
+        # k - 1 trailing zeros: the last row's extra positions land past
+        # the grid
+        gxpf = np.zeros((n, c, hp * wp + k - 1), dtype=np.float32)
+        for t in range(k * k):
+            off = (t // k) * wp + t % k
+            gxpf[:, :, off:off + m] += gcols[:, :, t]
+        gx = gxpf[:, :, :hp * wp].reshape(n, c, hp, wp)
+    else:
+        gcols = np.matmul(wmat.T, gout).reshape(n, c, k, k, ho, wo)
+        gx = np.zeros((n, c, hp, wp), dtype=np.float32)
+        for ki in range(k):
+            for kj in range(k):
+                gx[:, :, ki : ki + stride * ho : stride,
+                   kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
+    return gx[:, :, padding:padding + h, padding:padding + wd]
 
     return _node(out, (x, w, b), bw)
 

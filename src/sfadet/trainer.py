@@ -134,19 +134,42 @@ LossBreakdown = make_dataclass(
     namespace={"recombined": _recombined})
 
 
-def standardize_cube(values):
-    """Per-band zero-mean unit-variance scaling of an (L, H, W) array."""
+_BAND_BLOCK = 8   # bands standardized per float64 block
+
+
+def standardize_cube(values, out=None):
+    """Per-band zero-mean unit-variance scaling of an (L, H, W) array,
+    into ``out`` (a new float32 array if None), which is returned.
+
+    The float64 sums and divisions of ``(v - v.mean()) / (v.std() + 1e-6)``
+    per band, made in blocks of ``_BAND_BLOCK`` bands, so that each band
+    is converted to float64 once and the float64 buffers stay small.
+    """
     v = np.asarray(values, dtype=np.float32)
-    mean = v.mean(axis=(1, 2), keepdims=True, dtype=np.float64)
-    d = v - mean
-    # the float64 sums and divisions of v.std(axis=(1, 2), dtype=np.float64)
-    std = np.sqrt((d * d).sum(axis=(1, 2), keepdims=True) / (v.shape[1] * v.shape[2]))
-    d /= std + 1e-6
-    return d.astype(np.float32)
+    if out is None:
+        out = np.empty(v.shape, dtype=np.float32)
+    elif out.shape != v.shape:
+        raise ValueError(f"standardize_cube: cube shape {v.shape} does not "
+                         f"match the output's {out.shape}")
+    nb, h, w = v.shape
+    d = np.empty((min(nb, _BAND_BLOCK), h, w), dtype=np.float64)
+    sq = np.empty_like(d)
+    for lo in range(0, nb, _BAND_BLOCK):
+        db, sb = d[:nb - lo], sq[:nb - lo]
+        db[...] = v[lo:lo + _BAND_BLOCK]
+        db -= db.sum(axis=(1, 2), keepdims=True) / (h * w)
+        np.square(db, out=sb)
+        db /= np.sqrt(sb.sum(axis=(1, 2), keepdims=True) / (h * w)) + 1e-6
+        out[lo:lo + _BAND_BLOCK] = db
+    return out
 
 
 def _batch_tensor(cubes):
-    return Tensor(np.stack([standardize_cube(c.values) for c in cubes]))
+    """The standardized cubes as one (N, L, H, W) batch."""
+    batch = np.empty((len(cubes),) + cubes[0].values.shape, dtype=np.float32)
+    for i, c in enumerate(cubes):
+        standardize_cube(c.values, out=batch[i])
+    return Tensor(batch)
 
 
 @dataclass
@@ -327,7 +350,15 @@ def load_checkpoint(path):
     for layer in ("enc1.w", "roi.cls.w"):
         if layer not in params:
             raise ssam.CheckpointError(f"{path}: missing layer {layer!r}")
-    return params, params["enc1.w"].shape[1], params["roi.cls.w"].shape[1] - 1
+    enc, cls = params["enc1.w"].shape, params["roi.cls.w"].shape
+    if len(enc) != 4:
+        raise ssam.CheckpointError(
+            f"{path}: layer 'enc1.w' must be 4-d, got shape {enc}")
+    if len(cls) != 2 or cls[1] < 2:
+        raise ssam.CheckpointError(
+            f"{path}: layer 'roi.cls.w' must be 2-d with at least 2 columns, "
+            f"got shape {cls}")
+    return params, enc[1], cls[1] - 1
 
 
 def train(cfg: TrainConfig, source_samples, target_samples,
@@ -371,6 +402,12 @@ def write_loss_csv(history, path):
 def infer(params, in_bands, num_classes, cubes, cfg: TrainConfig = None):
     """Detect objects in target-domain cubes with a trained model."""
     cfg = cfg or TrainConfig()
+    # the counts repeat what the parameters hold; they must agree
+    bands, classes = params["enc1.w"].shape[1], params["roi.cls.w"].shape[1] - 1
+    if (in_bands, num_classes) != (bands, classes):
+        raise ValueError(
+            f"infer: in_bands={in_bands}, num_classes={num_classes}, but the "
+            f"model takes {bands} bands and has {classes} classes")
     for c in cubes:
         if c.bands != in_bands:
             raise ValueError(

@@ -186,6 +186,28 @@ class TestConsumedTape:
         assert all(ref() is None for ref in refs.values())
         assert w.grad is not None and b.grad is not None
 
+    def test_conv_on_interior_input_keeps_the_input_not_columns(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(randn(rng, 2, 3, 8, 8))
+        w1, b1, w2, b2 = (Tensor(randn(rng, *s), requires_grad=True)
+                          for s in ((4, 3, 3, 3), (4,), (5, 4, 3, 3), (5,)))
+        r = ad.relu(ad.conv2d(x, w1, b1, padding=1))
+        h = ad.conv2d(r, w2, b2, padding=1)
+        held = [c.cell_contents for c in h._bw.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        ncols = 4 * 3 * 3 * 2 * 8 * 8   # C*k*k*N*Ho*Wo
+        assert not any(a.size == ncols or (a.base is not None
+                                           and a.base.size == ncols)
+                       for a in held)
+        assert any(a is r.data for a in held)
+        ref = weakref.ref(r.data)
+        del r, held
+        loss = ad.frobenius_sq(h)
+        del h
+        loss.backward()
+        assert ref() is None
+        assert all(t.grad is not None for t in (w1, b1, w2, b2))
+
     def test_second_backward_on_consumed_graph_raises(self):
         loss, (w, b), _ = _conv_graph(np.random.default_rng(2))
         loss.backward()
@@ -351,12 +373,20 @@ def _conv2d_matches_oracle(rng, n, c, o, h, w, k, stride, padding):
     ho = (h + 2 * padding - k) // stride + 1
     wo = (w + 2 * padding - k) // stride + 1
     g = rng.normal(size=(n, o, ho, wo)).astype(np.float32)
-    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
-    out = ad.conv2d(tx, tw, tb, stride=stride, padding=padding)
-    out.backward(g)
     want = conv2d_batch_major(x, wt, b, g, stride, padding)
-    for got, ref in zip((out.data, tx.grad, tw.grad, tb.grad), want):
-        assert same_bits(got, ref)
+    # an input that needs a gradient is kept and its columns are built
+    # again for the weight gradient; a leaf input's columns are kept
+    for x_grad in (True, False):
+        tx = Tensor(x, requires_grad=x_grad)
+        tw, tb = (Tensor(a, requires_grad=True) for a in (wt, b))
+        out = ad.conv2d(tx, tw, tb, stride=stride, padding=padding)
+        out.backward(g)
+        got = (out.data, tx.grad, tw.grad, tb.grad)
+        for name, a, ref in zip(("out", "gx", "gw", "gb"), got, want):
+            if name == "gx" and not x_grad:
+                assert a is None
+            else:
+                assert same_bits(a, ref), (name, x_grad)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.integers(1, 40),
@@ -375,11 +405,17 @@ def test_conv2d_matches_batch_major_oracle(seed, n, c, o, h, dw, k, stride,
     (64, 32, 16, 3, 1, 1), (32, 16, 32, 3, 1, 1), (16, 60, 64, 3, 1, 1),
     (16, 32, 32, 1, 1, 0), (32, 32, 16, 1, 1, 0), (64, 32, 8, 1, 1, 0),
     (32, 32, 8, 3, 1, 1), (32, 16, 8, 1, 1, 0), (16, 1, 8, 1, 1, 0),
+    pytest.param(16, 32, (32, 96), 3, 1, 1, id="16-32-32x96-3-1-1"),
+    pytest.param(16, 32, (32, 96), 3, 2, 1, id="16-32-32x96-3-2-1"),
+    pytest.param(60, 16, (96, 32), 3, 2, 1, id="60-16-96x32-3-2-1"),
+    pytest.param(32, 32, (8, 24), 1, 1, 0, id="32-32-8x24-1-1-0"),
 ])
 def test_conv2d_matches_oracle_on_backbone_shapes(c, o, h, k, stride, padding):
     # the encoder, decoder, pyramid and domain-classifier convs at batch 6
-    # on 64x64 scenes: large GEMMs as well as small ones
-    _conv2d_matches_oracle(np.random.default_rng(c * o + h), 6, c, o, h, h,
+    # on 64x64 scenes: large GEMMs as well as small ones; then on
+    # non-square (H, W) scenes
+    h, w = h if isinstance(h, tuple) else (h, h)
+    _conv2d_matches_oracle(np.random.default_rng(c * o + h), 6, c, o, h, w,
                            k, stride, padding)
 
 

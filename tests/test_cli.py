@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sfadet import cli, hsi, ssam
+from sfadet.autodiff import Tensor
 
 
 def run(*argv):
@@ -236,6 +237,23 @@ class TestInferCheckpointErrors:
         assert self._infer(data, ckpt, tmp_path) == 1
         err = capsys.readouterr().err
         assert err == f"error: {ckpt}: missing layer {layer!r}\n"
+
+    @pytest.mark.parametrize("layer,shape,want", [
+        ("enc1.w", (16, 60, 9), "4-d"),
+        ("roi.cls.w", (5,), "2-d with at least 2 columns"),
+        ("roi.cls.w", (128, 1), "2-d with at least 2 columns"),
+    ])
+    def test_layer_of_wrong_rank_is_one_line_error(self, trained, tmp_path,
+                                                    capsys, layer, shape, want):
+        _, data, out = trained
+        params = ssam.load_params(os.path.join(out, "model.sfaw"))
+        params[layer] = Tensor(np.zeros(shape, dtype=np.float32))
+        ckpt = tmp_path / "bad.sfaw"
+        ssam.save_params(params, ckpt)
+        assert self._infer(data, ckpt, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {ckpt}: layer {layer!r} must be {want}, "
+                       f"got shape {shape}\n")
 
     def test_version_1_checkpoint_is_one_line_error(self, trained, tmp_path,
                                                     capsys):

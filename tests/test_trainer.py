@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfadet import detect, hsi, ssam, trainer
+from sfadet import autodiff as ad, detect, hsi, ssam, trainer
 from sfadet.hsi import AnnotatedSample, HyperCube, HeldOutAnnotationError
 from sfadet.trainer import ConfigError, LOSS_FIELDS, LossBreakdown, TrainConfig
 
@@ -144,6 +144,27 @@ class TestStandardize:
         v = rng.normal(loc, scale, size=(bands, h, w)).astype(np.float32)
         v[rng.integers(bands)] = np.float32(loc)   # one constant band
         assert same_bits(trainer.standardize_cube(v), standardize_cube_two_pass(v))
+
+
+    @pytest.mark.parametrize("bands", [1, 7, 8, 9, 60])
+    def test_band_blocks_match_two_pass_oracle(self, bands):
+        # blocks of 8 bands: fewer, exactly one, one and a part, many; on
+        # an H != W cube with a constant band, and offset by 1e4
+        rng = np.random.default_rng(bands)
+        v = rng.normal(3, 7, size=(bands, 24, 40)).astype(np.float32)
+        v[bands // 2] = np.float32(2.5)
+        for cube in (v, v + np.float32(1e4)):
+            want = standardize_cube_two_pass(cube)
+            assert same_bits(trainer.standardize_cube(cube), want)
+            batch = np.full((2,) + cube.shape, np.nan, dtype=np.float32)
+            assert trainer.standardize_cube(cube, out=batch[1]).base is batch
+            assert same_bits(batch[1], want)
+
+    def test_batch_of_mixed_shapes_rejected(self):
+        cubes = [HyperCube(np.ones((3, 8, 8), np.float32)),
+                 HyperCube(np.ones((3, 1, 8), np.float32))]
+        with pytest.raises(ValueError, match=r"\(3, 1, 8\) does not match"):
+            trainer._batch_tensor(cubes)
 
 
 class TestJitter:
@@ -323,6 +344,36 @@ class TestConsumedTape:
         assert len(batches) == len(levels1) == 2
         assert alive == [False, False, False]
 
+    @pytest.mark.parametrize("ablation,target_rpn", [
+        ("full", "off"), ("no_ssam_sacm", "background")])
+    def test_only_enc1_keeps_columns_before_backward(self, ablation,
+                                                     target_rpn, monkeypatch):
+        # every other conv reads a tensor the tape keeps anyway, and builds
+        # its columns again in backward
+        src, tgt = hsi.generate_domain_pair(hsi.SynthConfig(
+            seed=1, image_size=32, num_source=4, num_target=4))
+        cfg = TrainConfig(ablation=ablation, target_rpn=target_rpn,
+                          iterations=1, batch_size=4)
+        kept, convs = [], []
+        backward = trainer.Tensor.backward
+
+        def spy_backward(root, grad=None):
+            for t in ad._reachable(root):
+                names = t._bw.__code__.co_freevars if t._bw else ()
+                if "cols" in names and "xd" in names:
+                    cells = dict(zip(names, (c.cell_contents
+                                             for c in t._bw.__closure__)))
+                    convs.append(t)
+                    if cells["cols"] is not None:
+                        kept.append(cells["tw"])
+            return backward(root, grad)
+
+        monkeypatch.setattr(trainer.Tensor, "backward", spy_backward)
+        state, _ = trainer.train(cfg, src, tgt)
+        assert len(convs) > 10
+        assert len(kept) == 2
+        assert all(w is state.params["enc1.w"] for w in kept)
+
 
 class TestFirewall:
     def test_target_annotations_never_read_during_training(self, datasets):
@@ -393,6 +444,16 @@ class TestCheckpointAndInfer:
         cube = HyperCube(rng.normal(size=(6, 16, 16)).astype(np.float32))
         dets = trainer.infer(state.params, 6, 1, [cube])
         assert len(dets[0]) == 0
+
+    @pytest.mark.parametrize("in_bands,num_classes", [(6, 1), (6, 7), (5, 3)])
+    def test_counts_that_disagree_with_the_parameters_rejected(
+            self, in_bands, num_classes):
+        state = trainer.init_state(quick_cfg(), 6, 3)
+        cube = HyperCube(np.zeros((in_bands, 32, 32), dtype=np.float32))
+        with pytest.raises(ValueError, match=(
+                f"in_bands={in_bands}, num_classes={num_classes}, but the "
+                "model takes 6 bands and has 3 classes")):
+            trainer.infer(state.params, in_bands, num_classes, [cube])
 
     def test_one_call_over_mixed_shapes_matches_per_cube_calls(self, monkeypatch):
         rng = np.random.default_rng(5)
