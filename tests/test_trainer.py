@@ -145,7 +145,6 @@ class TestStandardize:
         v[rng.integers(bands)] = np.float32(loc)   # one constant band
         assert same_bits(trainer.standardize_cube(v), standardize_cube_two_pass(v))
 
-
     @pytest.mark.parametrize("bands", [1, 7, 8, 9, 60])
     def test_band_blocks_match_two_pass_oracle(self, bands):
         # blocks of 8 bands: fewer, exactly one, one and a part, many; on
