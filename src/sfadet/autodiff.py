@@ -9,12 +9,13 @@ run, so the buffers the forward saved are freed at their last use. A node
 keeps only the inputs whose gradient it computes and the arrays its
 backward reads. Reductions accumulate in float64 before casting back to
 float32 to keep Frobenius norms stable on wide cubes.
-Convolution unrolls its input once per call into channel-major columns, a
-(C*k*k, N*Ho*Wo) array whose column n*Ho*Wo + i is output position i of
-image n; the per-image GEMMs and the weight gradient read views of it.
-A conv keeps its columns for the weight gradient only when its input is
-a leaf; an input that needs a gradient is kept by the tape anyway, and
-backward builds its columns again from it.
+Convolution unrolls its input one image at a time, into one reused
+C-ordered (C*k*k, Ho*Wo) buffer that the image's GEMM reads; a 1x1,
+stride-1, unpadded conv reads its input as it is. No conv keeps its
+columns: a conv whose weight needs a gradient keeps its input, and
+backward unrolls it again into channel-major columns, a (C*k*k, N*Ho*Wo)
+array whose column n*Ho*Wo + i is output position i of image n, which
+the weight gradient reads.
 With ``upsample=2``, a 3x3 conv of the nearest-2x upsampled input runs as
 four 2x2 sub-pixel phase convs on the low-resolution input, one per
 output pixel phase, whose taps are sums of the 3x3 taps.
@@ -404,28 +405,25 @@ def matmul(a, b):
 # convolution / pooling / resampling
 
 
-def _im2col(x, k, stride, padding):
-    """(N, C*k*k, Ho*Wo) columns of an NCHW array, as a view of one
-    channel-major (C*k*k, N*Ho*Wo) buffer; of ``x`` itself for a 1x1,
-    stride-1, unpadded conv."""
-    n, c, h, w = x.shape
-    if k == 1 and stride == 1 and not padding:
-        return x.reshape(n, c, h * w), h, w
-    xp = x.transpose(1, 0, 2, 3)
-    if padding:
-        xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
-    ho = (xp.shape[2] - k) // stride + 1
-    wo = (xp.shape[3] - k) // stride + 1
-    s = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, k, k, n, ho, wo),
-        strides=(s[0], s[2], s[3], s[1], s[2] * stride, s[3] * stride),
-        writeable=False,
-    )
-    cols = np.ascontiguousarray(cols).reshape(c * k * k, n, ho * wo)
-    return cols.transpose(1, 0, 2), ho, wo
+def _taps(k, stride, padding, h, w, ho, wo):
+    """Index pairs (dst, src) that unroll a conv's input: for each tap
+    (ki, kj), ``cols[dst] = x[src]`` copies the input rows and columns the
+    tap reads to the output positions that read them, where ``cols`` is
+    (C, k, k, ..., Ho, Wo) and ``x`` is (..., H, W). The positions that
+    read the padding are left as they are, so ``cols`` starts at zero."""
+    def span(t, size, n_out):
+        # output positions j whose input j*stride + t - padding lies in
+        # [0, size), and the input slice they read
+        lo = max(0, -((t - padding) // stride))
+        hi = max(lo, min(n_out, (size - 1 + padding - t) // stride + 1))
+        first = lo * stride + t - padding
+        return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
+
+    rows = [span(t, h, ho) for t in range(k)]
+    cols = [span(t, w, wo) for t in range(k)]
+    return [((slice(None), ki, kj, ..., ro, co), (..., ri, ci))
+            for ki, (ro, ri) in enumerate(rows)
+            for kj, (co, ci) in enumerate(cols)]
 
 
 def conv2d(x, w, b, stride=1, padding=0, upsample=1):
@@ -459,27 +457,32 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
             f"conv2d: spatial dims {x.data.shape} too small for kernel {k} "
             f"with padding {padding}"
         )
-    cols, ho, wo = _columns(x.data, k, stride, padding, o)
-    ckk, p = c * k * k, ho * wo
-    wmat = w.data.reshape(o, ckk)
-    out = np.matmul(wmat, cols)
+    wmat = w.data.reshape(o, c * k * k)
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    p = ho * wo
+    if k == 1 and stride == 1 and not padding:
+        out = np.matmul(wmat, _columns(x.data, k, stride, padding, o))
+    else:
+        out = np.empty((n, o, p), dtype=np.float32)
+        for i, cols in enumerate(_image_columns(x.data, k, stride, padding,
+                                                ho, wo)):
+            np.matmul(wmat, cols, out=out[i])
     out += b.data.reshape(o, 1)
     out = out.reshape(n, o, ho, wo)
     tx, tw, tb = _needing_grad(x, w, b)
-    # the weight gradient reads the columns. An input that needs a
-    # gradient is kept by the tape anyway, so the columns are built again
-    # from it; only a conv on a leaf input keeps its columns
-    xd = x.data if tw is not None and tx is not None else None
-    cols = cols if tw is not None and tx is None else None
+    # the weight gradient reads the columns, k*k/stride**2 times the
+    # input's size, so backward builds them again from the input
+    xd = x.data if tw is not None else None
 
     def bw(g):
         gout = g.reshape(n, o, p)
         if tw is not None:
-            # einsum's GEMM reads cols as (C*k*k, N*Ho*Wo): a view of the
-            # channel-major buffer, unless cols is x or _columns' copy
-            cw = cols if xd is None else _columns(xd, k, stride, padding, o)[0]
-            gw = np.einsum("nop,ncp->oc", gout, cw, optimize=True)
-            del cw
+            # einsum's GEMM reads the columns as (C*k*k, N*Ho*Wo): a view
+            # of the channel-major buffer, unless they are x or a copy
+            cols = _columns(xd, k, stride, padding, o)
+            gw = np.einsum("nop,ncp->oc", gout, cols, optimize=True)
+            del cols
             _acc(tw, gw.reshape(o, c, k, k))
         if tb is not None:
             _acc(tb, gout.sum(axis=(0, 2)))
@@ -491,8 +494,10 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
 
 
 def _columns(x, k, stride, padding, o):
-    """``_im2col`` of ``x`` for a conv of ``o`` output channels, laid out
-    as the GEMMs of conv2d read them.
+    """(N, C*k*k, Ho*Wo) columns of an NCHW array for a conv of ``o``
+    output channels, as the 1x1 forward's GEMM and the weight gradient's
+    einsum read them: a view of one channel-major (C*k*k, N*Ho*Wo)
+    buffer, or of ``x`` itself for a 1x1, stride-1, unpadded conv.
 
     OpenBLAS picks its kernel, and with it the order of each dot
     product's sum, from the matrix sizes and operand layouts. The
@@ -502,10 +507,35 @@ def _columns(x, k, stride, padding, o):
     einsum's own loops (o == 1 or Ho*Wo == 1), which read strided
     operands in another order.
     """
-    cols, ho, wo = _im2col(x, k, stride, padding)
-    if o == 1 or ho * wo == 1:
+    n, c, h, w = x.shape
+    if k == 1 and stride == 1 and not padding:
+        cols = x.reshape(n, c, h * w)
+    else:
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (w + 2 * padding - k) // stride + 1
+        buf = np.zeros((c, k, k, n, ho, wo), dtype=np.float32)
+        xt = x.transpose(1, 0, 2, 3)
+        for dst, src in _taps(k, stride, padding, h, w, ho, wo):
+            buf[dst] = xt[src]
+        cols = buf.reshape(c * k * k, n, ho * wo).transpose(1, 0, 2)
+    if o == 1 or cols.shape[2] == 1:
         cols = cols.copy()
-    return cols, ho, wo
+    return cols
+
+
+def _image_columns(x, k, stride, padding, ho, wo):
+    """Each image's (C*k*k, Ho*Wo) columns of an NCHW array, in turn, in
+    one C-ordered buffer that every image overwrites: the layout of one
+    image's columns in conv2d_batch_major (tests/oracles.py), so the
+    forward GEMM on it gives the oracle's bits."""
+    n, c, h, wd = x.shape
+    taps = _taps(k, stride, padding, h, wd, ho, wo)
+    buf = np.zeros((c, k, k, ho, wo), dtype=np.float32)
+    cols = buf.reshape(c * k * k, ho * wo)
+    for xi in x:
+        for dst, src in taps:
+            buf[dst] = xi[src]
+        yield cols
 
 
 def _col2im(wmat, gout, shape, k, stride, padding, ho, wo):
@@ -544,8 +574,6 @@ def _col2im(wmat, gout, shape, k, stride, padding, ho, wo):
                 gx[:, :, ki : ki + stride * ho : stride,
                    kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
     return gx[:, :, padding:padding + h, padding:padding + wd]
-
-    return _node(out, (x, w, b), bw)
 
 
 def _fold3(v):

@@ -259,9 +259,11 @@ def _objective(state: TrainState, source_samples, target_cubes):
     forward's buffers alive, and backward frees each one at its last use.
     What no later forward op reads is dropped at its last forward use, so
     that it is gone before the RPN and ROI stage, where the step's memory
-    peaks: the two input batches after the reconstruction losses, and,
-    under ``target_rpn="off"``, the target flow's FPN levels 1 and 2 with
-    the graph nodes only they keep. No node is created in another order.
+    peaks: the two input batches' tensors and both flows' reconstructions
+    after the reconstruction losses, and, under ``target_rpn="off"``, the
+    target flow's FPN levels 1 and 2 with the graph nodes only they keep.
+    The batches' arrays stay, kept by ``enc1`` for its weight gradient.
+    No node is created in another order.
     """
     cfg = state.cfg
     use_ae = cfg.ablation != "no_ssam_sacm"
@@ -281,6 +283,9 @@ def _objective(state: TrainState, source_samples, target_cubes):
     if use_ae:
         terms["l_s_r"] = ssam.recon_loss(src, src_out, cfg.alpha)
         terms["l_t_r"] = ssam.recon_loss(tgt, tgt_out, cfg.alpha)
+        # no backward reads a reconstruction: sub's reads only shapes, and
+        # the decoder conv's reads its input
+        src_out.reconstruction.data = tgt_out.reconstruction.data = None
         terms["l_s_d"] = ssam.domain_loss(src_out.domain_logit, "source",
                                           cfg.beta, cfg.lam)
         terms["l_t_d"] = ssam.domain_loss(tgt_out.domain_logit, "target",
@@ -343,9 +348,24 @@ def save_checkpoint(state: TrainState, path):
             os.remove(tmp)
 
 
+class _ShapesOnly:
+    """Stands in for the Generator of ``init_ssam`` and
+    ``init_detect_params`` where only the shapes of their tensors are
+    read: its draws are left unset."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.empty(size, dtype=np.float32)
+
+
 def load_checkpoint(path):
     """(params, in_bands, num_classes) of a checkpoint; the two counts are
-    read off the ``enc1.w`` and ``roi.cls.w`` tensors."""
+    read off the ``enc1.w`` and ``roi.cls.w`` tensors.
+
+    The checkpoint must hold exactly the layers, with the shapes, of the
+    model these counts build, and only finite values; the first layer
+    that does not fails with one ``CheckpointError`` line naming it.
+    """
     params = ssam.load_params(path)
     for layer in ("enc1.w", "roi.cls.w"):
         if layer not in params:
@@ -358,6 +378,21 @@ def load_checkpoint(path):
         raise ssam.CheckpointError(
             f"{path}: layer 'roi.cls.w' must be 2-d with at least 2 columns, "
             f"got shape {cls}")
+    want = ssam.init_ssam(enc[1], _ShapesOnly)
+    want.update(detect.init_detect_params(cls[1] - 1, _ShapesOnly))
+    missing, unknown = want.keys() - params.keys(), params.keys() - want.keys()
+    if missing:
+        raise ssam.CheckpointError(f"{path}: missing layer {min(missing)!r}")
+    if unknown:
+        raise ssam.CheckpointError(f"{path}: unknown layer {min(unknown)!r}")
+    for layer, t in sorted(params.items()):
+        if t.shape != want[layer].shape:
+            raise ssam.CheckpointError(
+                f"{path}: layer {layer!r} has shape {t.shape}, the model's "
+                f"is {want[layer].shape}")
+        if not np.isfinite(t.data).all():
+            raise ssam.CheckpointError(
+                f"{path}: layer {layer!r} has non-finite values")
     return params, enc[1], cls[1] - 1
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 import zlib
 
@@ -158,30 +159,32 @@ class TestGraphSemantics:
 
 def _conv_graph(rng):
     """conv -> relu -> frobenius_sq on a batch that needs no gradient;
-    returns the loss, the leaves and weakrefs to the batch, to the conv's
-    and the relu's outputs, and to the conv's saved columns (the view and
-    the buffer it reads)."""
+    returns the loss, the leaves, weakrefs to the batch, to its array and
+    to the conv's and the relu's outputs, and the arrays the conv's
+    backward closure holds."""
     x = Tensor(randn(rng, 2, 3, 8, 8))
     w = Tensor(randn(rng, 4, 3, 3, 3), requires_grad=True)
     b = Tensor(randn(rng, 4), requires_grad=True)
     h = ad.conv2d(x, w, b, stride=2, padding=1)
-    cells = dict(zip(h._bw.__code__.co_freevars, h._bw.__closure__))
-    cols = cells["cols"].cell_contents
+    held = [c.cell_contents for c in h._bw.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
     r = ad.relu(h)
     loss = ad.frobenius_sq(r)
-    refs = {"x": weakref.ref(x), "h": weakref.ref(h), "r": weakref.ref(r),
-            "cols": weakref.ref(cols), "cols.base": weakref.ref(cols.base)}
-    return loss, (w, b), refs
+    refs = {"x": weakref.ref(x), "x.data": weakref.ref(x.data),
+            "h": weakref.ref(h), "r": weakref.ref(r)}
+    return loss, (w, b), refs, held
 
 
 class TestConsumedTape:
-    def test_backward_frees_interior_tensors_and_saved_columns(self):
-        loss, (w, b), refs = _conv_graph(np.random.default_rng(0))
-        # the tape holds what backward reads, but not the batch, which
-        # gets no gradient
+    def test_backward_frees_interior_tensors_and_kept_input(self):
+        loss, (w, b), refs, held = _conv_graph(np.random.default_rng(0))
+        # the batch gets no gradient, so the tape drops its tensor; the
+        # conv keeps its array, not its columns, for the weight gradient
         assert refs["x"]() is None
-        assert all(refs[k]() is not None
-                   for k in ("h", "r", "cols", "cols.base"))
+        assert all(refs[k]() is not None for k in ("x.data", "h", "r"))
+        assert len(held) == 2 and any(a is refs["x.data"]() for a in held)
+        assert all(a.size <= refs["x.data"]().size for a in held)
+        del held
         loss.backward()
         assert all(ref() is None for ref in refs.values())
         assert w.grad is not None and b.grad is not None
@@ -208,8 +211,24 @@ class TestConsumedTape:
         assert ref() is None
         assert all(t.grad is not None for t in (w1, b1, w2, b2))
 
+    def test_forward_unrolls_one_image_at_a_time(self):
+        # enc1 on the training batch: beyond its output, the forward
+        # allocates one image's columns, not the batch's
+        rng = np.random.default_rng(3)
+        x = Tensor(randn(rng, 6, 60, 64, 64))
+        w, b = (Tensor(randn(rng, *s), requires_grad=True)
+                for s in ((16, 60, 3, 3), (16,)))
+        one_image = 60 * 3 * 3 * 32 * 32 * 4   # C*k*k * Ho*Wo float32
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, w, b, stride=2, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.data.nbytes <= 1.05 * one_image
+
     def test_second_backward_on_consumed_graph_raises(self):
-        loss, (w, b), _ = _conv_graph(np.random.default_rng(2))
+        loss, (w, b), _, _ = _conv_graph(np.random.default_rng(2))
         loss.backward()
         w.zero_grad()
         b.zero_grad()

@@ -255,6 +255,32 @@ class TestInferCheckpointErrors:
         assert err == (f"error: {ckpt}: layer {layer!r} must be {want}, "
                        f"got shape {shape}\n")
 
+    @pytest.mark.parametrize("edit,want", [
+        (lambda p: p.pop("dec2.b"), "missing layer 'dec2.b'"),
+        (lambda p: p.__setitem__("extra.w", Tensor(np.ones(3))),
+         "unknown layer 'extra.w'"),
+        (lambda p: p.__setitem__("rpn.obj.w", Tensor(np.ones((3, 32, 3, 3)))),
+         "layer 'rpn.obj.w' has shape (3, 32, 3, 3), the model's is "
+         "(3, 32, 1, 1)"),
+        (lambda p: p.__setitem__("roi.reg.b", Tensor(np.ones(4))),
+         "layer 'roi.reg.b' has shape (4,), the model's is (8,)"),
+        (lambda p: p["enc1.w"].data.fill(np.nan),
+         "layer 'enc1.w' has non-finite values"),
+        (lambda p: p["roi.fc.b"].data.__setitem__(5, np.inf),
+         "layer 'roi.fc.b' has non-finite values"),
+    ], ids=["missing", "unknown", "kernel_size", "class_count", "nan", "inf"])
+    def test_checkpoint_unlike_the_model_is_one_line_error(
+            self, trained, tmp_path, capsys, edit, want):
+        # before validation, a NaN enc1.w gave "wrote 0 detections", exit 0
+        _, data, out = trained
+        params = ssam.load_params(os.path.join(out, "model.sfaw"))
+        edit(params)
+        ckpt = tmp_path / "bad.sfaw"
+        ssam.save_params(params, ckpt)
+        assert self._infer(data, ckpt, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: {want}\n"
+        assert not (tmp_path / "dets.json").exists()
+
     def test_version_1_checkpoint_is_one_line_error(self, trained, tmp_path,
                                                     capsys):
         _, data, out = trained

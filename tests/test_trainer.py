@@ -304,18 +304,20 @@ class TestConsumedTape:
 
     def test_dead_forward_buffers_gone_before_roi_stage(self, monkeypatch):
         # the step's memory peaks in the RPN and ROI stage: by then the
-        # input batches and the target flow's unread FPN level 1 are freed,
-        # and no decoder conv keeps its columns
+        # input batches' tensors and the target flow's unread FPN level 1
+        # are freed, the batches' arrays are kept by enc1 in place of its
+        # columns, and no decoder conv keeps its columns
         src, tgt = hsi.generate_domain_pair(hsi.SynthConfig(
             seed=1, image_size=32, num_source=4, num_target=4))
         cfg = TrainConfig(iterations=1, batch_size=4, target_rpn="off")
-        batches, levels1, alive = [], [], []
+        batches, arrays, levels1, alive = [], [], [], []
         batch_tensor, forward, roi_loss = (trainer._batch_tensor,
                                            ssam.ssam_forward, detect.roi_loss)
 
         def spy_batch(cubes):
             batch = batch_tensor(cubes)
             batches.append(weakref.ref(batch))
+            arrays.append(weakref.ref(batch.data))
             return batch
 
         def spy_forward(*args, **kwargs):
@@ -333,7 +335,7 @@ class TestConsumedTape:
 
         def spy_roi_loss(*args, **kwargs):
             alive.extend(ref() is not None
-                         for ref in batches + levels1[1:])
+                         for ref in batches + levels1[1:] + arrays)
             return roi_loss(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "_batch_tensor", spy_batch)
@@ -341,37 +343,76 @@ class TestConsumedTape:
         monkeypatch.setattr(detect, "roi_loss", spy_roi_loss)
         trainer.train(cfg, src, tgt)
         assert len(batches) == len(levels1) == 2
-        assert alive == [False, False, False]
+        assert alive == [False, False, False, True, True]
 
     @pytest.mark.parametrize("ablation,target_rpn", [
-        ("full", "off"), ("no_ssam_sacm", "background")])
-    def test_only_enc1_keeps_columns_before_backward(self, ablation,
-                                                     target_rpn, monkeypatch):
-        # every other conv reads a tensor the tape keeps anyway, and builds
-        # its columns again in backward
+        ("full", "off"), ("no_sacm", "background")])
+    def test_reconstructions_freed_before_roi_stage(self, ablation,
+                                                    target_rpn, monkeypatch):
+        # no backward reads a reconstruction, so both are gone once both
+        # reconstruction losses exist
         src, tgt = hsi.generate_domain_pair(hsi.SynthConfig(
             seed=1, image_size=32, num_source=4, num_target=4))
         cfg = TrainConfig(ablation=ablation, target_rpn=target_rpn,
                           iterations=1, batch_size=4)
-        kept, convs = [], []
-        backward = trainer.Tensor.backward
+        recons, alive = [], []
+        forward, roi_loss = ssam.ssam_forward, detect.roi_loss
+
+        def spy_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            recons.append(weakref.ref(out.reconstruction.data))
+            return out
+
+        def spy_roi_loss(*args, **kwargs):
+            alive.extend(ref() is not None for ref in recons)
+            return roi_loss(*args, **kwargs)
+
+        monkeypatch.setattr(ssam, "ssam_forward", spy_forward)
+        monkeypatch.setattr(detect, "roi_loss", spy_roi_loss)
+        trainer.train(cfg, src, tgt)
+        assert alive == [False, False]
+
+    @pytest.mark.parametrize("ablation,target_rpn", [
+        ("full", "off"), ("no_ssam_sacm", "background")])
+    def test_no_conv_keeps_columns(self, ablation, target_rpn, monkeypatch):
+        # before backward, a conv keeps its input and its weight, and
+        # builds its columns again in backward; enc1 keeps the batch
+        src, tgt = hsi.generate_domain_pair(hsi.SynthConfig(
+            seed=1, image_size=32, num_source=4, num_target=4))
+        cfg = TrainConfig(ablation=ablation, target_rpn=target_rpn,
+                          iterations=1, batch_size=4)
+        batches, convs, on_batch = [], [], []
+        batch_tensor, backward = trainer._batch_tensor, trainer.Tensor.backward
+
+        def spy_batch(cubes):
+            batch = batch_tensor(cubes)
+            batches.append(batch.data)
+            return batch
 
         def spy_backward(root, grad=None):
             for t in ad._reachable(root):
-                names = t._bw.__code__.co_freevars if t._bw else ()
-                if "cols" in names and "xd" in names:
-                    cells = dict(zip(names, (c.cell_contents
-                                             for c in t._bw.__closure__)))
-                    convs.append(t)
-                    if cells["cols"] is not None:
-                        kept.append(cells["tw"])
+                if t._bw is None or t._bw.__qualname__ != "conv2d.<locals>.bw":
+                    continue
+                cells = dict(zip(t._bw.__code__.co_freevars,
+                                 (c.cell_contents for c in t._bw.__closure__)))
+                held = [v for v in cells.values() if isinstance(v, np.ndarray)]
+                xd, tw = cells["xd"], cells["tw"]
+                inputs = [p.data for p in t._prev] + batches
+                assert len(held) == 2
+                assert any(xd is a for a in inputs)
+                assert any(a is not xd and np.shares_memory(a, tw.data)
+                           for a in held)
+                convs.append(t)
+                if any(xd is a for a in batches):
+                    on_batch.append(tw)
             return backward(root, grad)
 
+        monkeypatch.setattr(trainer, "_batch_tensor", spy_batch)
         monkeypatch.setattr(trainer.Tensor, "backward", spy_backward)
         state, _ = trainer.train(cfg, src, tgt)
         assert len(convs) > 10
-        assert len(kept) == 2
-        assert all(w is state.params["enc1.w"] for w in kept)
+        assert len(on_batch) == 2
+        assert all(w is state.params["enc1.w"] for w in on_batch)
 
 
 class TestFirewall:
