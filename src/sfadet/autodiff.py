@@ -405,27 +405,6 @@ def matmul(a, b):
 # convolution / pooling / resampling
 
 
-def _taps(k, stride, padding, h, w, ho, wo):
-    """Index pairs (dst, src) that unroll a conv's input: for each tap
-    (ki, kj), ``cols[dst] = x[src]`` copies the input rows and columns the
-    tap reads to the output positions that read them, where ``cols`` is
-    (C, k, k, ..., Ho, Wo) and ``x`` is (..., H, W). The positions that
-    read the padding are left as they are, so ``cols`` starts at zero."""
-    def span(t, size, n_out):
-        # output positions j whose input j*stride + t - padding lies in
-        # [0, size), and the input slice they read
-        lo = max(0, -((t - padding) // stride))
-        hi = max(lo, min(n_out, (size - 1 + padding - t) // stride + 1))
-        first = lo * stride + t - padding
-        return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
-
-    rows = [span(t, h, ho) for t in range(k)]
-    cols = [span(t, w, wo) for t in range(k)]
-    return [((slice(None), ki, kj, ..., ro, co), (..., ri, ci))
-            for ki, (ro, ri) in enumerate(rows)
-            for kj, (co, ci) in enumerate(cols)]
-
-
 def conv2d(x, w, b, stride=1, padding=0, upsample=1):
     """Cross-correlation of NCHW input with OIkk weights plus per-channel bias.
 
@@ -511,13 +490,22 @@ def _columns(x, k, stride, padding, o):
     if k == 1 and stride == 1 and not padding:
         cols = x.reshape(n, c, h * w)
     else:
-        ho = (h + 2 * padding - k) // stride + 1
-        wo = (w + 2 * padding - k) // stride + 1
-        buf = np.zeros((c, k, k, n, ho, wo), dtype=np.float32)
-        xt = x.transpose(1, 0, 2, 3)
-        for dst, src in _taps(k, stride, padding, h, w, ho, wo):
-            buf[dst] = xt[src]
-        cols = buf.reshape(c * k * k, n, ho * wo).transpose(1, 0, 2)
+        xp = xt = x.transpose(1, 0, 2, 3)
+        if padding:
+            hp, wp = h + 2 * padding, w + 2 * padding
+            xp = np.zeros((c, n, hp, wp), dtype=x.dtype)
+            xp[:, :, padding:hp - padding, padding:wp - padding] = xt
+        ho = (xp.shape[2] - k) // stride + 1
+        wo = (xp.shape[3] - k) // stride + 1
+        s = xp.strides
+        cols = np.lib.stride_tricks.as_strided(
+            xp,
+            shape=(c, k, k, n, ho, wo),
+            strides=(s[0], s[2], s[3], s[1], s[2] * stride, s[3] * stride),
+            writeable=False,
+        )
+        cols = np.ascontiguousarray(cols).reshape(c * k * k, n, ho * wo)
+        cols = cols.transpose(1, 0, 2)
     if o == 1 or cols.shape[2] == 1:
         cols = cols.copy()
     return cols
@@ -527,9 +515,25 @@ def _image_columns(x, k, stride, padding, ho, wo):
     """Each image's (C*k*k, Ho*Wo) columns of an NCHW array, in turn, in
     one C-ordered buffer that every image overwrites: the layout of one
     image's columns in conv2d_batch_major (tests/oracles.py), so the
-    forward GEMM on it gives the oracle's bits."""
+    forward GEMM on it gives the oracle's bits.
+
+    Each tap (ki, kj) copies the input rows and columns it reads to the
+    output positions that read them; positions that read the padding are
+    zeroed once and never written.
+    """
     n, c, h, wd = x.shape
-    taps = _taps(k, stride, padding, h, wd, ho, wo)
+
+    def span(t, size, n_out):
+        # output positions j whose input j*stride + t - padding lies in
+        # [0, size), and the input slice they read
+        lo = max(0, -((t - padding) // stride))
+        hi = max(lo, min(n_out, (size - 1 + padding - t) // stride + 1))
+        first = lo * stride + t - padding
+        return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
+
+    taps = [((slice(None), ki, kj, ro, co), (slice(None), ri, ci))
+            for ki, (ro, ri) in enumerate(span(t, h, ho) for t in range(k))
+            for kj, (co, ci) in enumerate(span(t, wd, wo) for t in range(k))]
     buf = np.zeros((c, k, k, ho, wo), dtype=np.float32)
     cols = buf.reshape(c * k * k, ho * wo)
     for xi in x:

@@ -393,8 +393,8 @@ def _conv2d_matches_oracle(rng, n, c, o, h, w, k, stride, padding):
     wo = (w + 2 * padding - k) // stride + 1
     g = rng.normal(size=(n, o, ho, wo)).astype(np.float32)
     want = conv2d_batch_major(x, wt, b, g, stride, padding)
-    # an input that needs a gradient is kept and its columns are built
-    # again for the weight gradient; a leaf input's columns are kept
+    # with and without an input gradient: the weight gradient builds the
+    # columns again from the kept input either way
     for x_grad in (True, False):
         tx = Tensor(x, requires_grad=x_grad)
         tw, tb = (Tensor(a, requires_grad=True) for a in (wt, b))
