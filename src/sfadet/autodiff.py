@@ -405,6 +405,30 @@ def matmul(a, b):
 # convolution / pooling / resampling
 
 
+def _im2col(x, k, stride, padding):
+    """(N, C*k*k, Ho*Wo) columns of an NCHW array, as a view of one
+    channel-major (C*k*k, N*Ho*Wo) buffer; of ``x`` itself for a 1x1,
+    stride-1, unpadded conv."""
+    n, c, h, w = x.shape
+    if k == 1 and stride == 1 and not padding:
+        return x.reshape(n, c, h * w), h, w
+    xp = x.transpose(1, 0, 2, 3)
+    if padding:
+        xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    ho = (xp.shape[2] - k) // stride + 1
+    wo = (xp.shape[3] - k) // stride + 1
+    s = xp.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(c, k, k, n, ho, wo),
+        strides=(s[0], s[2], s[3], s[1], s[2] * stride, s[3] * stride),
+        writeable=False,
+    )
+    cols = np.ascontiguousarray(cols).reshape(c * k * k, n, ho * wo)
+    return cols.transpose(1, 0, 2), ho, wo
+
+
 def conv2d(x, w, b, stride=1, padding=0, upsample=1):
     """Cross-correlation of NCHW input with OIkk weights plus per-channel bias.
 
@@ -441,7 +465,7 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
     wo = (wd + 2 * padding - k) // stride + 1
     p = ho * wo
     if k == 1 and stride == 1 and not padding:
-        out = np.matmul(wmat, _columns(x.data, k, stride, padding, o))
+        out = np.matmul(wmat, _columns(x.data, k, stride, padding, o)[0])
     else:
         out = np.empty((n, o, p), dtype=np.float32)
         for i, cols in enumerate(_image_columns(x.data, k, stride, padding,
@@ -459,7 +483,7 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
         if tw is not None:
             # einsum's GEMM reads the columns as (C*k*k, N*Ho*Wo): a view
             # of the channel-major buffer, unless they are x or a copy
-            cols = _columns(xd, k, stride, padding, o)
+            cols = _columns(xd, k, stride, padding, o)[0]
             gw = np.einsum("nop,ncp->oc", gout, cols, optimize=True)
             del cols
             _acc(tw, gw.reshape(o, c, k, k))
@@ -473,10 +497,8 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
 
 
 def _columns(x, k, stride, padding, o):
-    """(N, C*k*k, Ho*Wo) columns of an NCHW array for a conv of ``o``
-    output channels, as the 1x1 forward's GEMM and the weight gradient's
-    einsum read them: a view of one channel-major (C*k*k, N*Ho*Wo)
-    buffer, or of ``x`` itself for a 1x1, stride-1, unpadded conv.
+    """``_im2col`` of ``x`` for a conv of ``o`` output channels, laid out
+    as the 1x1 forward's GEMM and the weight gradient's einsum read them.
 
     OpenBLAS picks its kernel, and with it the order of each dot
     product's sum, from the matrix sizes and operand layouts. The
@@ -486,29 +508,10 @@ def _columns(x, k, stride, padding, o):
     einsum's own loops (o == 1 or Ho*Wo == 1), which read strided
     operands in another order.
     """
-    n, c, h, w = x.shape
-    if k == 1 and stride == 1 and not padding:
-        cols = x.reshape(n, c, h * w)
-    else:
-        xp = xt = x.transpose(1, 0, 2, 3)
-        if padding:
-            hp, wp = h + 2 * padding, w + 2 * padding
-            xp = np.zeros((c, n, hp, wp), dtype=x.dtype)
-            xp[:, :, padding:hp - padding, padding:wp - padding] = xt
-        ho = (xp.shape[2] - k) // stride + 1
-        wo = (xp.shape[3] - k) // stride + 1
-        s = xp.strides
-        cols = np.lib.stride_tricks.as_strided(
-            xp,
-            shape=(c, k, k, n, ho, wo),
-            strides=(s[0], s[2], s[3], s[1], s[2] * stride, s[3] * stride),
-            writeable=False,
-        )
-        cols = np.ascontiguousarray(cols).reshape(c * k * k, n, ho * wo)
-        cols = cols.transpose(1, 0, 2)
-    if o == 1 or cols.shape[2] == 1:
+    cols, ho, wo = _im2col(x, k, stride, padding)
+    if o == 1 or ho * wo == 1:
         cols = cols.copy()
-    return cols
+    return cols, ho, wo
 
 
 def _image_columns(x, k, stride, padding, ho, wo):
