@@ -295,17 +295,20 @@ def _sum_of_squares(x):
     of the two parts are added. Runs longer than ``_SUM_BLOCK`` are split
     the same way here, so only one block at a time is converted to float64.
     """
-    flat = x.reshape(-1)
+    return _sum_of_squares_run(x.reshape(-1), 0, x.size)
 
-    def run(lo, n):
-        if n <= _SUM_BLOCK:
-            block = flat[lo:lo + n].astype(np.float64)
-            return np.sum(np.square(block, out=block))
-        n2 = n // 2
-        n2 -= n2 % 8
-        return run(lo, n2) + run(lo + n2, n - n2)
 
-    return run(0, flat.size)
+def _sum_of_squares_run(flat, lo, n):
+    """:func:`_sum_of_squares` of ``flat[lo:lo + n]``. A module function,
+    not a closure: a recursive closure refers to itself, so the cycle would
+    keep ``flat`` alive until the next garbage collection."""
+    if n <= _SUM_BLOCK:
+        block = flat[lo:lo + n].astype(np.float64)
+        return np.sum(np.square(block, out=block))
+    n2 = n // 2
+    n2 -= n2 % 8
+    return (_sum_of_squares_run(flat, lo, n2)
+            + _sum_of_squares_run(flat, lo + n2, n - n2))
 
 
 def frobenius_sq(a):
@@ -365,18 +368,6 @@ def concat(tensors, axis=0):
             off += s
 
     return _node(out, tuple(tensors), bw)
-
-
-def take_row(a, index):
-    """Select one slice along axis 0; backward scatters into that slice."""
-    out = a.data[index]
-
-    def bw(g):
-        gx = np.zeros_like(a.data)
-        gx[index] = g
-        _acc(a, gx)
-
-    return _node(out, (a,), bw)
 
 
 def matmul(a, b):

@@ -294,61 +294,69 @@ def assign_anchors(anchors_cxcywh, gt_xywh):
     matched = np.full(n, -1, dtype=np.int64)
     if len(gt_xywh) == 0:
         return labels, matched
-    ious = iou_xywh(cxcywh_to_xywh(anchors_cxcywh), gt_xywh)  # (A, G)
-    best_gt = ious.argmax(axis=1)
-    best_iou = ious[np.arange(n), best_gt]
+    ious = iou_xywh(gt_xywh, cxcywh_to_xywh(anchors_cxcywh))  # (G, A)
+    best_gt = ious.argmax(axis=0)
+    best_iou = ious.max(axis=0)
     labels[:] = -1
     labels[best_iou <= RPN_NEG_IOU] = 0
     labels[best_iou >= RPN_POS_IOU] = 1
-    # best anchor per gt is always positive
-    for g in range(ious.shape[1]):
-        top = ious[:, g].max()
-        if top > 0:
-            labels[ious[:, g] >= top - 1e-9] = 1
+    # the best anchors of each gt box that overlaps any are positive
+    top = ious.max(axis=1, keepdims=True)
+    labels[((ious >= top - 1e-9) & (top > 0)).any(axis=0)] = 1
     matched[labels == 1] = best_gt[labels == 1]
     return labels, matched
 
 
-def rpn_loss(logits_flat, deltas_flat, anchors_cxcywh, gt_xywh, rng):
-    """Sampled binary objectness + smooth-L1 box loss for one image.
+def rpn_loss(logits, deltas, anchors_cxcywh, gt_per_image, rng):
+    """Mean over a flow's images of the sampled objectness BCE plus the
+    smooth-L1 box loss.
 
-    ``logits_flat``/``deltas_flat`` are (A,) and (A, 4) tensors, one row
-    of :func:`rpn_forward`'s outputs.
+    ``logits``/``deltas`` are :func:`rpn_forward`'s (N, A) and (N, A, 4)
+    outputs, with one list of xywh gt boxes per image (empty: background);
+    an (A,) and (A, 4) pair with one gt list is one image. Anchors are
+    labelled and sampled image by image, in order, so ``rng`` makes the
+    draws of N one-image calls.
     """
-    a = len(anchors_cxcywh)
-    labels, matched = assign_anchors(anchors_cxcywh, gt_xywh)
-    pos = np.flatnonzero(labels == 1)
-    neg = np.flatnonzero(labels == 0)
-    n_pos = min(len(pos), int(RPN_SAMPLES * RPN_POS_FRACTION))
-    if len(pos) > n_pos:
-        pos = rng.choice(pos, size=n_pos, replace=False)
-    n_neg = min(len(neg), RPN_SAMPLES - len(pos))
-    if len(neg) > n_neg:
-        neg = rng.choice(neg, size=n_neg, replace=False)
-    sampled = np.concatenate([pos, neg])
-    n_sampled = max(len(sampled), 1)
+    if logits.data.ndim == 1:
+        logits = ad.reshape(logits, (1, -1))
+        deltas = ad.reshape(deltas, (1, -1, 4))
+        gt_per_image = [gt_per_image]
+    n, a = logits.shape
+    if len(gt_per_image) != n:
+        raise ValueError(f"rpn_loss: {n} images but {len(gt_per_image)} "
+                         "ground-truth lists")
+    cls_mask = np.zeros((n, a), dtype=np.float32)
+    targets = np.zeros((n, a), dtype=np.float32)
+    reg_mask = np.zeros((n, a, 1), dtype=np.float32)
+    reg_targets = np.zeros((n, a, 4), dtype=np.float32)
+    cls_scale, reg_scale = np.zeros((2, n), dtype=np.float32)
+    for i, gt in enumerate(gt_per_image):
+        labels, matched = assign_anchors(anchors_cxcywh, gt)
+        pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+        n_pos = min(len(pos), int(RPN_SAMPLES * RPN_POS_FRACTION))
+        if len(pos) > n_pos:
+            pos = rng.choice(pos, size=n_pos, replace=False)
+        n_neg = min(len(neg), RPN_SAMPLES - len(pos))
+        if len(neg) > n_neg:
+            neg = rng.choice(neg, size=n_neg, replace=False)
+        cls_mask[i, pos] = cls_mask[i, neg] = 1.0
+        targets[i, pos] = 1.0
+        cls_scale[i] = 1.0 / max(len(pos) + len(neg), 1)   # sampled mean
+        if len(pos):
+            reg_mask[i, pos] = 1.0
+            reg_targets[i, pos] = encode_deltas(
+                np.asarray(gt)[matched[pos]], anchors_cxcywh[pos])
+            # per-coordinate mean over positives so the box signal stays
+            # strong even when negatives dominate the sample
+            reg_scale[i] = 1.0 / (4.0 * len(pos))
 
-    cls_mask = np.zeros(a, dtype=np.float32)
-    cls_mask[sampled] = 1.0
-    targets = np.zeros(a, dtype=np.float32)
-    targets[pos] = 1.0
-    bce = ad.bce_with_logits(logits_flat, targets)
-    cls_term = ad.scale(ad.tsum(ad.mul(bce, Tensor(cls_mask))), 1.0 / n_sampled)
-
-    if len(pos):
-        reg_targets = np.zeros((a, 4), dtype=np.float32)
-        reg_targets[pos] = encode_deltas(
-            np.asarray(gt_xywh)[matched[pos]], anchors_cxcywh[pos]
-        )
-        reg_mask = np.zeros((a, 4), dtype=np.float32)
-        reg_mask[pos] = 1.0
-        sl1 = ad.smooth_l1(deltas_flat, reg_targets)
-        # per-coordinate mean over positives so the box signal stays strong
-        # even when negatives dominate the sample
-        reg_term = ad.scale(ad.tsum(ad.mul(sl1, Tensor(reg_mask))),
-                            1.0 / (4.0 * len(pos)))
-        return ad.add(cls_term, reg_term)
-    return cls_term
+    bce = ad.mul(ad.bce_with_logits(logits, targets), Tensor(cls_mask))
+    per_image = ad.mul(ad.tsum(bce, axis=1), Tensor(cls_scale))
+    if reg_scale.any():   # a flow of background images has no box term
+        sl1 = ad.mul(ad.smooth_l1(deltas, reg_targets), Tensor(reg_mask))
+        per_image = ad.add(per_image, ad.mul(ad.tsum(sl1, axis=(1, 2)),
+                                             Tensor(reg_scale)))
+    return ad.scale(ad.tsum(per_image), 1.0 / n)
 
 
 def rpn_proposals(logits, deltas, anchors, image_shape, pre_nms=200,

@@ -13,7 +13,6 @@ import csv
 import os
 import tempfile
 from dataclasses import dataclass, fields, make_dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -65,17 +64,21 @@ class TrainConfig:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if self.target_rpn not in TARGET_RPN_MODES:
             raise ConfigError(f"unknown target_rpn mode {self.target_rpn!r}")
-        if min(self.epsilon, self.eta, self.tau) < 0:
-            raise ConfigError("loss weights must be non-negative")
         if not (0.0 < self.lam < 1.0):
             raise ConfigError("lambda must lie in (0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not self.beta > 0:
+            raise ConfigError(f"beta must be positive, got {self.beta}")
+        if not np.isfinite(self.grl_scale):
+            raise ConfigError(f"grl_scale must be finite, got {self.grl_scale}")
+        for name in ("epsilon", "eta", "tau", "alpha", "lr"):
+            value = getattr(self, name)
+            if not (value >= 0 and np.isfinite(value)):
+                raise ConfigError(f"{name} must be non-negative and finite, got {value}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
-        if not (self.lr >= 0 and np.isfinite(self.lr)):
-            raise ConfigError(f"lr must be non-negative and finite, got {self.lr}")
-
+        for name in ("batch_size", "proposals_train", "proposals_infer"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
@@ -116,10 +119,13 @@ def parse_config(path, cls, what="config", keys=None) -> dict:
 
 
 def load_config(path, **overrides) -> TrainConfig:
-    """Parse a flat key=value config file; unknown keys are errors."""
+    """Parse a flat key=value config file; bad keys and values are errors."""
     args = parse_config(path, TrainConfig, keys={"lam": "lambda"})
     args.update(overrides)
-    return TrainConfig(**args)
+    try:
+        return TrainConfig(**args)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _recombined(self, cfg: TrainConfig) -> float:
@@ -205,15 +211,6 @@ def _active_params(params, cfg):
         skip_prefixes = ("dec", "dc")
     return [t for k, t in sorted(params.items())
             if not k.startswith(skip_prefixes)]
-
-
-def _per_image_rpn_loss(anchors, logits, deltas, gt_boxes_list, rng):
-    """Mean RPN loss over the batch; gt lists may be empty (background)."""
-    n = logits.shape[0]
-    terms = [detect.rpn_loss(ad.take_row(logits, i), ad.take_row(deltas, i),
-                             anchors, gt_boxes_list[i], rng)
-             for i in range(n)]
-    return ad.scale(reduce(ad.add, terms), 1.0 / n)
 
 
 def _pairwise_sum(terms):
@@ -304,8 +301,8 @@ def _objective(state: TrainState, source_samples, target_cubes):
     rpn_rng = np.random.default_rng(cfg.seed)
     s_logits, s_deltas = detect.rpn_forward(src_out.fpn_levels, state.params)
     src_anchors = detect.anchors_for(*src_hw)
-    terms["l_s_rpn"] = _per_image_rpn_loss(src_anchors, s_logits, s_deltas,
-                                           gts, rpn_rng)
+    terms["l_s_rpn"] = detect.rpn_loss(s_logits, s_deltas, src_anchors, gts,
+                                       rpn_rng)
 
     # proposals for the ROI head: gt boxes, four jittered copies of each so
     # the box-refinement branch sees non-zero targets, then the RPN output
@@ -320,10 +317,9 @@ def _objective(state: TrainState, source_samples, target_cubes):
 
     if cfg.target_rpn == "background":
         t_logits, t_deltas = detect.rpn_forward(tgt_levels, state.params)
-        terms["l_t_rpn"] = _per_image_rpn_loss(
-            detect.anchors_for(*tgt_hw), t_logits, t_deltas,
-            [[] for _ in target_cubes], rpn_rng
-        )
+        terms["l_t_rpn"] = detect.rpn_loss(
+            t_logits, t_deltas, detect.anchors_for(*tgt_hw),
+            [[] for _ in target_cubes], rpn_rng)
 
     total = _pairwise_sum([terms[k] if w is None
                            else ad.scale(terms[k], getattr(cfg, w))

@@ -226,6 +226,88 @@ def roi_loss_f64(levels, proposals_per_image, gt_per_image, tensors,
     return loss + reg_sum / (4.0 * n_fg)
 
 
+def rpn_labels_loops(anchors, gt, pos_iou=0.7, neg_iou=0.3):
+    """Anchor labels (1, 0, -1) and matched gt index (-1 if none) of the
+    documented rule, one gt box at a time: an anchor's best IoU decides,
+    and each gt box's best anchors (within 1e-9) are positive."""
+    ax1 = anchors[:, 0] - anchors[:, 2] / 2
+    ay1 = anchors[:, 1] - anchors[:, 3] / 2
+    ax2, ay2 = ax1 + anchors[:, 2], ay1 + anchors[:, 3]
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 4)
+    a = len(anchors)
+    labels, matched = np.zeros(a, dtype=np.int64), np.full(a, -1)
+    if not len(gt):
+        return labels, matched
+    ious = np.zeros((len(gt), a))
+    for g, (x, y, w, h) in enumerate(gt):
+        iw = np.clip(np.minimum(ax2, x + w) - np.maximum(ax1, x), 0, None)
+        ih = np.clip(np.minimum(ay2, y + h) - np.maximum(ay1, y), 0, None)
+        inter = iw * ih
+        ious[g] = inter / (anchors[:, 2] * anchors[:, 3] + w * h - inter)
+    best = ious.max(axis=0)
+    labels[:] = -1
+    labels[best <= neg_iou] = 0
+    labels[best >= pos_iou] = 1
+    for row in ious:
+        if row.max() > 0:
+            labels[row >= row.max() - 1e-9] = 1
+    matched[labels == 1] = ious.argmax(axis=0)[labels == 1]
+    return labels, matched
+
+
+def rpn_loss_f64(logits, deltas, anchors, gt_per_image, rng, samples=32,
+                 pos_fraction=0.5):
+    """Float64 RPN loss of a flow and its gradients, written out per image.
+
+    ``logits``/``deltas`` are (N, A) and (N, A, 4) arrays, ``anchors`` the
+    (A, 4) cx, cy, w, h rows and ``gt_per_image`` one list of xywh boxes per
+    image. Anchors are labelled by :func:`rpn_labels_loops` and sampled
+    with the library's ``rng.choice`` calls in its order, so the same
+    generator state gives the same sample. Returns (loss, g_logits,
+    g_deltas, m_logits, m_deltas): the m arrays are the magnitude each
+    gradient element's float32 rounding scales with, c * (sigmoid + target)
+    and c * min(|delta| + |target|, 1) for its per-image factor c, where the
+    differences that make the gradient can cancel.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    n, a = logits.shape
+    loss = 0.0
+    g_logits, m_logits = np.zeros((n, a)), np.zeros((n, a))
+    g_deltas, m_deltas = np.zeros((n, a, 4)), np.zeros((n, a, 4))
+    for i, gt in enumerate(gt_per_image):
+        gt = np.asarray(gt, dtype=np.float64).reshape(-1, 4)
+        labels, matched = rpn_labels_loops(anchors, gt)
+        pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+        if len(pos) > int(samples * pos_fraction):
+            pos = rng.choice(pos, size=int(samples * pos_fraction),
+                             replace=False)
+        if len(neg) > samples - len(pos):
+            neg = rng.choice(neg, size=samples - len(pos), replace=False)
+
+        c = 1.0 / (n * max(len(pos) + len(neg), 1))
+        for j in np.concatenate([pos, neg]):
+            x, t = logits[i, j], float(j in pos)
+            s = 1.0 / (1.0 + np.exp(-x))
+            loss += c * (max(x, 0.0) - x * t + np.log1p(np.exp(-abs(x))))
+            g_logits[i, j], m_logits[i, j] = c * (s - t), c * (s + t)
+        if not len(pos):
+            continue
+        c = 1.0 / (n * 4.0 * len(pos))
+        for j in pos:
+            x, y, w, h = gt[matched[j]]
+            cx, cy, aw, ah = anchors[j]
+            t = np.array([(x + w / 2 - cx) / aw, (y + h / 2 - cy) / ah,
+                          np.log(w / aw), np.log(h / ah)])
+            d = deltas[i, j] - t
+            loss += c * np.where(np.abs(d) < 1, 0.5 * d * d,
+                                 np.abs(d) - 0.5).sum()
+            g_deltas[i, j] = c * np.clip(d, -1.0, 1.0)
+            m_deltas[i, j] = c * np.minimum(np.abs(deltas[i, j]) + np.abs(t),
+                                            1.0)
+    return loss, g_logits, g_deltas, m_logits, m_deltas
+
+
 def gram_loops(feature):
     """Gram matrix by explicit loops over channels and positions."""
     n, c, h, w = feature.shape

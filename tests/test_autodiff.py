@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import weakref
 import zlib
@@ -278,6 +279,21 @@ def test_frobenius_sq_matches_one_float64_sum(seed, shape, log_scale):
     # the float64 sum itself, not only its float32 rounding, is numpy's
     assert ad._sum_of_squares(x) == want
     assert same_bits(ad.frobenius_sq(Tensor(x)).data, np.float32(want))
+
+
+def test_frobenius_sq_frees_its_input_without_garbage_collection():
+    # a sum over more than one block once left a reference cycle that kept
+    # the summed array alive until the next collection: both reconstruction
+    # differences, 11 MiB, in a training step of the full model
+    x = np.ones(3 * BLOCK, dtype=np.float32)
+    alive = weakref.ref(x)
+    gc.disable()
+    try:
+        ad.frobenius_sq(Tensor(x))
+        del x
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 GRADCHECK_CASES = {

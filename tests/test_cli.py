@@ -220,6 +220,29 @@ class TestTrainInferEval:
         assert err == f"error: {dets}: detection #1: {cause}\n"
 
 
+class TestTrainConfigValues:
+    @pytest.mark.parametrize("line,cause", [
+        ("epsilon=nan", "epsilon must be non-negative and finite, got nan"),
+        ("tau=inf", "tau must be non-negative and finite, got inf"),
+        ("beta=0", "beta must be positive, got 0.0"),
+        ("beta=-1", "beta must be positive, got -1.0"),
+        ("alpha=-1", "alpha must be non-negative and finite, got -1.0"),
+        ("alpha=inf", "alpha must be non-negative and finite, got inf"),
+        ("grl_scale=nan", "grl_scale must be finite, got nan"),
+        ("proposals_train=-3", "proposals_train must be at least 1, got -3"),
+        ("proposals_infer=0", "proposals_infer must be at least 1, got 0")])
+    def test_value_no_step_can_use_fails_at_load(self, tmp_path, capsys,
+                                                 line, cause):
+        # these once loaded: beta <= 0 failed at the first domain loss, a
+        # NaN weight made the first step's total and the parameters NaN, and
+        # proposals_infer=0 made inference return no detections
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"iterations=3\n{line}\n")
+        assert run("train", "--config", str(cfg), "--dataset",
+                   str(tmp_path / "data"), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {cause}\n"
+
+
 class TestInferCheckpointErrors:
     def _infer(self, data, ckpt, tmp_path):
         return run("infer", "--checkpoint", str(ckpt),
