@@ -74,6 +74,11 @@ def _detection_problem(r):
     for key in ("image_id", "bbox", "score", "category_id"):
         if key not in r:
             return f"no {key!r} key"
+    for key in ("image_id", "category_id"):
+        if type(r[key]) is not int:
+            return f"{key} must be an integer, got {r[key]!r}"
+    if "id" in r and type(r["id"]) not in (int, str):
+        return f"id must be an integer or a string, got {r['id']!r}"
     if not is_xywh(r["bbox"]):
         return f"bbox must be 4 finite numbers, got {r['bbox']!r}"
     if not is_finite_number(r["score"]):
@@ -84,10 +89,11 @@ def _detection_problem(r):
 def group_detections(records, known_image_ids):
     """Group JSON detection records into per-image DetectionSets.
 
-    Records may carry an optional unique "id"; duplicates are rejected.
-    A record without image_id, bbox, score or category_id, or with a bbox
-    that is not 4 finite numbers or a score that is not a finite number,
-    is rejected with its "id" (or its index) named.
+    Records may carry an optional unique "id", an integer or a string;
+    duplicates are rejected. A record without image_id, bbox, score or
+    category_id, with an image_id or category_id that is not an integer,
+    a bbox that is not 4 finite numbers or a score that is not a finite
+    number, is rejected with its "id" (or its index) named.
     """
     if not isinstance(records, list):
         raise ValueError("detections must be a JSON list of records")
@@ -96,8 +102,8 @@ def group_detections(records, known_image_ids):
     for index, r in enumerate(records):
         problem = _detection_problem(r)
         if problem:
-            name = (r.get("id", f"#{index}") if isinstance(r, dict)
-                    else f"#{index}")
+            name = (r["id"] if isinstance(r, dict)
+                    and type(r.get("id")) in (int, str) else f"#{index}")
             raise ValueError(f"detection {name}: {problem}")
         if "id" in r:
             if r["id"] in seen_ids:
@@ -122,15 +128,14 @@ def group_detections(records, known_image_ids):
     return out
 
 
-def _match_image(ious, order, gt_ignore):
+def _match_image(ious, gt_ignore):
     """Greedy matching of one image's detections of one class, at every
     IoU threshold.
 
-    ``ious`` is the (detections, gts) IoU matrix and ``order`` the
-    detections in descending score order. Each detection takes the
-    highest-IoU unmatched valid gt; if only an ignored gt overlaps, the
-    detection is ignored. Returns a (thresholds, detections) status array:
-    1 TP, 0 FP, -1 ignored.
+    ``ious`` is the (detections, gts) IoU matrix, its rows in descending
+    score order. Each detection takes the highest-IoU unmatched valid gt;
+    if only an ignored gt overlaps, the detection is ignored. Returns a
+    (thresholds, detections) status array: 1 TP, 0 FP, -1 ignored.
     """
     status = np.zeros((len(IOU_THRESHOLDS), len(ious)), dtype=np.int64)
     ignore = [bool(v) for v in gt_ignore]
@@ -138,7 +143,7 @@ def _match_image(ious, order, gt_ignore):
         floor = thresh - 1e-12
         # a detection with no IoU above the floor is a false positive and
         # takes no gt, so the greedy pass only visits the others
-        cand = order[(ious[order] > floor).any(axis=1)]
+        cand = np.flatnonzero((ious > floor).any(axis=1))
         taken = [False] * len(ignore)
         for d, row in zip(cand.tolist(), ious[cand].tolist()):
             best_g, best_iou = -1, floor
@@ -179,8 +184,21 @@ def _ap_from_matches(statuses, n_gt):
     return ap, max_recall
 
 
+def _mean(values):
+    """Mean of the non-NaN entries in C order, 0 if there are none."""
+    values = values[~np.isnan(values)]
+    return float(np.mean(values)) if values.size else 0.0
+
+
 def evaluate(dets, gt_samples) -> EvalReport:
-    """Score per-image DetectionSets against annotated samples."""
+    """Score per-image DetectionSets against annotated samples.
+
+    One pass per class: in each image, the class's MAX_DETS best
+    detections in score order are matched against its gts once per
+    gt-ignore pattern (buckets that ignore the same gts share the
+    statuses), the pooled scores are ranked once, and each bucket with a
+    gt of the class records AP and highest recall per threshold.
+    """
     if len(dets) != len(gt_samples):
         raise ValueError("detections and ground truth differ in image count")
     with eval_annotation_access():
@@ -191,84 +209,38 @@ def evaluate(dets, gt_samples) -> EvalReport:
         set(int(c) for cs in gt_classes for c in cs)
         | set(int(c) for d in dets for c in d.classes)
     )
-
-    # cap detections per image per class
-    capped = []
-    for d in dets:
-        keep = []
-        for c in class_ids:
+    n_thresh = len(IOU_THRESHOLDS)
+    # (bucket, threshold, class); NaN where the bucket has no gt of the class
+    ap = np.full((len(BUCKETS), n_thresh, len(class_ids)), np.nan)
+    ar = ap.copy()
+    for ci, c in enumerate(class_ids):
+        scores, n_gt = [], [0] * len(BUCKETS)
+        statuses = [[] for _ in BUCKETS]
+        for d, boxes, classes in zip(dets, gt_boxes, gt_classes):
+            g = boxes[classes == c]
             idx = np.flatnonzero(d.classes == c)
             idx = idx[np.argsort(-d.scores[idx], kind="stable")][:MAX_DETS]
-            keep.extend(idx.tolist())
-        keep = np.array(sorted(keep), dtype=np.int64)
-        capped.append((d.boxes[keep], d.scores[keep], d.classes[keep]))
-
-    # per (image, class): gt areas, detection scores, and the statuses of
-    # the detections for each gt-ignore pattern. The IoU matrix is computed
-    # once and shared by every bucket and threshold; buckets that ignore
-    # the same gts share the statuses.
-    pairs = {}
-    for c in class_ids:
-        for img in range(len(dets)):
-            g = gt_boxes[img][gt_classes[img] == c]
-            db, ds, dc = capped[img]
-            dsel = dc == c
-            ious = iou_xywh(db[dsel], g) if len(g) and dsel.any() else None
-            order = np.argsort(-ds[dsel], kind="stable")
-            pairs[img, c] = (g[:, 2] * g[:, 3], ds[dsel], ious, order, {})
-
-    bucket_ap = {}
-    bucket_ar = {}
-    per_class = {}
-    for bname, (lo, hi) in BUCKETS.items():
-        aps = {t: [] for t in IOU_THRESHOLDS}
-        recalls = {t: [] for t in IOU_THRESHOLDS}
-        for c in class_ids:
-            scores, statuses = [], []
-            n_gt_valid = 0
-            for img in range(len(dets)):
-                areas, ds, ious, order, by_ignore = pairs[img, c]
+            ious = iou_xywh(d.boxes[idx], g) if len(g) and len(idx) else None
+            areas, by_ignore = g[:, 2] * g[:, 3], {}
+            for b, (lo, hi) in enumerate(BUCKETS.values()):
                 ignore = ~((areas >= lo) & (areas < hi))
-                n_gt_valid += int((~ignore).sum())
+                n_gt[b] += int((~ignore).sum())
                 key = ignore.tobytes()
                 if key not in by_ignore:
                     by_ignore[key] = (
-                        _match_image(ious, order, ignore) if ious is not None
-                        else np.zeros((len(IOU_THRESHOLDS), len(ds)), np.int64))
-                scores.append(ds)
-                statuses.append(by_ignore[key])
-            if n_gt_valid == 0:
-                continue
-            scores = np.concatenate(scores)
-            # descending score; pooled position breaks ties
-            rank = np.lexsort((np.arange(len(scores)), -scores))
-            statuses = np.concatenate(statuses, axis=1)[:, rank]
-            for t, st in zip(IOU_THRESHOLDS, statuses):
-                ap, mrec = _ap_from_matches(st, n_gt_valid)
-                aps[t].append(ap)
-                recalls[t].append(mrec)
-            if bname == "all":
-                per_class[c] = {
-                    "AP@0.5": aps[IOU_THRESHOLDS[0]][-1],
-                    "AP": float(np.mean([aps[t][-1] for t in IOU_THRESHOLDS])),
-                }
-        flat_aps = [v for t in IOU_THRESHOLDS for v in aps[t]]
-        flat_recalls = [v for t in IOU_THRESHOLDS for v in recalls[t]]
-        bucket_ap[bname] = float(np.mean(flat_aps)) if flat_aps else 0.0
-        bucket_ar[bname] = float(np.mean(flat_recalls)) if flat_recalls else 0.0
-        if bname == "all":
-            ap50s = aps[IOU_THRESHOLDS[0]]
-            ap50 = float(np.mean(ap50s)) if ap50s else 0.0
-
-    return EvalReport(
-        ap50=ap50,
-        ap=bucket_ap["all"],
-        ap_small=bucket_ap["small"],
-        ap_medium=bucket_ap["medium"],
-        ap_large=bucket_ap["large"],
-        ar=bucket_ar["all"],
-        ar_small=bucket_ar["small"],
-        ar_medium=bucket_ar["medium"],
-        ar_large=bucket_ar["large"],
-        per_class=per_class,
-    )
+                        _match_image(ious, ignore) if ious is not None
+                        else np.zeros((n_thresh, len(idx)), np.int64))
+                statuses[b].append(by_ignore[key])
+            scores.append(d.scores[idx])
+        # descending score; pooled position breaks ties
+        rank = np.argsort(-np.concatenate(scores), kind="stable")
+        for b in range(len(BUCKETS)):
+            if n_gt[b]:
+                st = np.concatenate(statuses[b], axis=1)[:, rank]
+                for k in range(n_thresh):
+                    ap[b, k, ci], ar[b, k, ci] = _ap_from_matches(st[k], n_gt[b])
+    per_class = {c: {"AP@0.5": float(ap[0, 0, ci]),
+                     "AP": float(np.mean(ap[0, :, ci]))}
+                 for ci, c in enumerate(class_ids) if not np.isnan(ap[0, 0, ci])}
+    return EvalReport(_mean(ap[0, 0]), *map(_mean, ap), *map(_mean, ar),
+                      per_class=per_class)

@@ -251,7 +251,9 @@ def is_xywh(v):
 
 
 def load_annotations(path):
-    """Return annotation metadata: list of (image record, boxes, classes)."""
+    """Return annotation metadata: list of (image record, boxes, classes);
+    a record that cannot be used fails with one AnnotationError line naming
+    the path and the record."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -259,16 +261,40 @@ def load_annotations(path):
         raise AnnotationError(f"{path}: malformed JSON ({e})") from e
     if not isinstance(doc, dict) or "images" not in doc:
         raise AnnotationError(f"{path}: missing 'images' key")
-    for i, img in enumerate(doc["images"]):
-        for key in ("id", "width", "height"):
+    images, anns = doc["images"], doc.get("annotations", [])
+    if type(images) is not list or type(anns) is not list:
+        raise AnnotationError(f"{path}: 'images' and 'annotations' must be lists")
+    by_img = {}
+    for i, img in enumerate(images):
+        where = f"{path}: image #{i}"
+        if not isinstance(img, dict):
+            raise AnnotationError(f"{where} is not a JSON object")
+        for key in ("id", "file", "width", "height"):
             if key not in img:
-                raise AnnotationError(f"{path}: image #{i} has no {key!r} key")
-    by_img = {img["id"]: (img, [], []) for img in doc["images"]}
-    for i, a in enumerate(doc.get("annotations", [])):
+                raise AnnotationError(f"{where} has no {key!r} key")
+        if type(img["id"]) is not int:
+            raise AnnotationError(
+                f"{where}: id must be an integer, got {img['id']!r}")
+        if img["id"] in by_img:
+            raise AnnotationError(f"{where}: duplicate id {img['id']}")
+        if type(img["file"]) is not str:
+            raise AnnotationError(
+                f"{where}: file must be a string, got {img['file']!r}")
+        for key in ("width", "height"):
+            if type(img[key]) is not int or img[key] < 1:
+                raise AnnotationError(
+                    f"{where}: {key} must be an integer >= 1, got {img[key]!r}")
+        by_img[img["id"]] = (img, [], [])
+    for i, a in enumerate(anns):
+        if not isinstance(a, dict):
+            raise AnnotationError(f"{path}: annotation #{i} is not a JSON object")
         where = f"{path}: annotation {a.get('id', f'#{i}')}"
         for key in ("image_id", "bbox", "category_id"):
             if key not in a:
                 raise AnnotationError(f"{where} has no {key!r} key")
+        if type(a["image_id"]) is not int:
+            raise AnnotationError(
+                f"{where}: image_id must be an integer, got {a['image_id']!r}")
         if a["image_id"] not in by_img:
             raise AnnotationError(f"{where}: unknown image_id {a['image_id']!r}")
         bbox, cat = a["bbox"], a["category_id"]
@@ -286,7 +312,7 @@ def load_annotations(path):
             )
         boxes.append((float(x), float(y), float(w), float(h)))
         classes.append(cat)
-    return [by_img[img["id"]] for img in doc["images"]]
+    return list(by_img.values())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ alignment loss and the evaluator.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sfadet.autodiff import GradError, Tensor, _fold3, _unfold3
 
@@ -729,3 +730,31 @@ def backward_whole_tape(root, grad=None):
             t._bw(t.grad)
             if t._prev and t is not root:
                 t.grad = None
+
+
+# ---------------------------------------------------------------------------
+# one-field mutations of a JSON record, for the readers' fuzz properties
+
+class _Dropped:
+    def __repr__(self):
+        return "DROPPED"
+
+
+DROPPED = _Dropped()  # the field was removed
+JSON_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False), st.just(1e30),
+    st.just(float("nan")), st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def mutate_field(data, record):
+    """Drop one field of ``record`` or give it a value drawn from
+    JSON_JUNK, in place; returns (key, new value or DROPPED)."""
+    key = data.draw(st.sampled_from(sorted(record)))
+    value = data.draw(st.one_of(st.just(DROPPED), JSON_JUNK))
+    if value is DROPPED:
+        del record[key]
+    else:
+        record[key] = value
+    return key, value

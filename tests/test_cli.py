@@ -202,6 +202,8 @@ class TestTrainInferEval:
         ({"score": None}, "no 'score' key"),
         ({"bbox": [1, 1, 2]}, "bbox must be 4 finite numbers, got [1, 1, 2]"),
         ({"score": "0.9"}, "score must be a finite number, got '0.9'"),
+        ({"category_id": 1.5}, "category_id must be an integer, got 1.5"),
+        ({"image_id": [0]}, "image_id must be an integer, got [0]"),
     ])
     def test_eval_bad_detection_record_is_one_line_error(self, tmp_path,
                                                           capsys, change,
@@ -218,6 +220,21 @@ class TestTrainInferEval:
                    "--annotations", str(ann)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {dets}: detection #1: {cause}\n"
+
+
+    def test_infer_image_record_without_file_is_one_line_error(
+            self, trained, tmp_path, capsys):
+        _, data, out = trained
+        doc = json.loads(open(os.path.join(data, "target",
+                                           "annotations.json")).read())
+        del doc["images"][0]["file"]
+        (tmp_path / "annotations.json").write_text(json.dumps(doc))
+        assert run("infer", "--checkpoint", os.path.join(out, "model.sfaw"),
+                   "--dataset", str(tmp_path),
+                   "--out", str(tmp_path / "dets.json")) == 1
+        err = capsys.readouterr().err
+        ann = tmp_path / "annotations.json"
+        assert err == f"error: {ann}: image #0 has no 'file' key\n"
 
 
 class TestTrainConfigValues:

@@ -1,11 +1,15 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfadet import evalap
 from sfadet.detect import DetectionSet
 from sfadet.hsi import AnnotatedSample, HyperCube
 
-from oracles import evaluate_slow
+from oracles import DROPPED, evaluate_slow, mutate_field
 
 
 def sample(boxes, classes, size=64, held_out=False):
@@ -93,6 +97,15 @@ class TestSizeBuckets:
         assert rep.ap == pytest.approx(1.0)
 
 
+VALID_DETECTIONS = [
+    {"id": 3, "image_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5,
+     "category_id": 1},
+    {"image_id": 2, "bbox": [1.5, 1, 4, 4], "score": 0.9, "category_id": 2},
+    {"id": "d7", "image_id": 1, "bbox": [2, 2, 3, 3], "score": 0.4,
+     "category_id": 2},
+]
+
+
 class TestGrouping:
     def test_groups_by_image(self):
         recs = [
@@ -125,10 +138,10 @@ class TestGrouping:
         assert len(out) == 3 and all(len(d) == 0 for d in out)
 
     @pytest.mark.parametrize("change, cause", [
-        ({"image_id": None}, "no 'image_id' key"),
-        ({"bbox": None}, "no 'bbox' key"),
-        ({"score": None}, "no 'score' key"),
-        ({"category_id": None}, "no 'category_id' key"),
+        ({"image_id": DROPPED}, "no 'image_id' key"),
+        ({"bbox": DROPPED}, "no 'bbox' key"),
+        ({"score": DROPPED}, "no 'score' key"),
+        ({"category_id": DROPPED}, "no 'category_id' key"),
         ({"bbox": [0, 0, 1]}, "bbox must be 4 finite numbers, got [0, 0, 1]"),
         ({"bbox": [0, 0, 1, 1, 1]}, "bbox must be 4 finite numbers"),
         ({"bbox": [0, 0, "1", 1]}, "bbox must be 4 finite numbers"),
@@ -137,16 +150,57 @@ class TestGrouping:
         ({"score": "high"}, "score must be a finite number, got 'high'"),
         ({"score": True}, "score must be a finite number, got True"),
         ({"score": float("inf")}, "score must be a finite number"),
+        ({"category_id": 1.5}, "category_id must be an integer, got 1.5"),
+        ({"category_id": "1"}, "category_id must be an integer, got '1'"),
+        ({"image_id": True}, "image_id must be an integer, got True"),
+        ({"category_id": None}, "category_id must be an integer, got None"),
+        ({"image_id": None}, "image_id must be an integer, got None"),
+        ({"category_id": [1]}, "category_id must be an integer, got [1]"),
+        ({"image_id": [1]}, "image_id must be an integer, got [1]"),
     ])
     def test_bad_record_named(self, change, cause):
         good = {"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5,
                 "category_id": 1}
-        bad = {k: v for k, v in {**good, **change}.items() if v is not None}
+        bad = {k: v for k, v in {**good, **change}.items() if v is not DROPPED}
         with pytest.raises(ValueError) as err:
             evalap.group_detections([good, bad], [1])
         assert str(err.value).startswith(f"detection #1: {cause}")
         with pytest.raises(ValueError, match=r"^detection 12: "):
             evalap.group_detections([good, {**bad, "id": 12}], [1])
+
+    @pytest.mark.parametrize("bad_id", [None, 1.5, True, [1], {"a": 1}])
+    def test_bad_id_named_by_index(self, bad_id):
+        good = {"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5,
+                "category_id": 1}
+        with pytest.raises(ValueError) as err:
+            evalap.group_detections([good, {**good, "id": bad_id}], [1])
+        assert str(err.value) == ("detection #1: id must be an integer or a "
+                                  f"string, got {bad_id!r}")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_field_fails_named_or_parses_the_same(self, data):
+        records = json.loads(json.dumps(VALID_DETECTIONS))
+        i = data.draw(st.integers(0, len(records) - 1))
+        key, value = mutate_field(data, records[i])
+        other_ids = [r["id"] for r in records[:i] + records[i + 1:] if "id" in r]
+        accepted = (
+            (key == "id" and (value is DROPPED or type(value) in (int, str))
+             and value not in other_ids)
+            or (key == "score" and type(value) in (int, float)
+                and math.isfinite(value)))
+        if not accepted:
+            with pytest.raises(ValueError) as err:
+                evalap.group_detections(records, [1, 2])
+            msg = str(err.value)
+            assert type(err.value) is ValueError and "\n" not in msg
+            assert msg.startswith(("detection ", "duplicate detection id "))
+            return
+        got = evalap.group_detections(records, [1, 2])
+        assert [list(zip(d.boxes.tolist(), d.scores.tolist(),
+                         d.classes.tolist())) for d in got] == [
+            [(r["bbox"], r["score"], r["category_id"]) for r in records
+             if r["image_id"] == img] for img in (1, 2)]
 
     def test_non_record_rejected(self):
         with pytest.raises(ValueError, match=r"^detection #0: not a JSON object"):
@@ -170,38 +224,56 @@ class TestReport:
         assert "50.00%" in table and "AP@0.5" in table and "full" in table
 
 
-def random_case(rng):
+def random_case(rng, size=64, n_det=(0, 6)):
+    """1-3 images of ``size`` px with 0-5 gts of classes 1-2 each and a
+    detection count drawn from ``n_det`` (low, exclusive high). Box sides
+    and offsets scale with ``size``; scores are quantized so ties occur."""
+    s = size / 64
     n_images = int(rng.integers(1, 4))
     gts, dets = [], []
     for _ in range(n_images):
         n_gt = int(rng.integers(0, 6))
         boxes = []
         for _ in range(n_gt):
-            w = float(rng.integers(2, 30))
-            h = float(rng.integers(2, 30))
-            x = float(rng.integers(0, 64 - int(w)))
-            y = float(rng.integers(0, 64 - int(h)))
+            w = float(rng.integers(2, int(30 * s)))
+            h = float(rng.integers(2, int(30 * s)))
+            x = float(rng.integers(0, size - int(w)))
+            y = float(rng.integers(0, size - int(h)))
             boxes.append((x, y, w, h))
         classes = rng.integers(1, 3, size=n_gt).tolist()
-        gts.append(sample(boxes, classes))
+        gts.append(sample(boxes, classes, size=size))
 
-        n_det = int(rng.integers(0, 6))
         dboxes, dscores, dclasses = [], [], []
-        for _ in range(n_det):
+        for _ in range(int(rng.integers(*n_det))):
             if boxes and rng.random() < 0.6:
                 # jittered copy of a gt box so interesting IoUs appear
                 bx, by, bw, bh = boxes[int(rng.integers(0, len(boxes)))]
-                dboxes.append((bx + rng.normal(0, 3), by + rng.normal(0, 3),
-                               max(1.0, bw + rng.normal(0, 4)),
-                               max(1.0, bh + rng.normal(0, 4))))
+                dboxes.append((bx + rng.normal(0, 3 * s), by + rng.normal(0, 3 * s),
+                               max(1.0, bw + rng.normal(0, 4 * s)),
+                               max(1.0, bh + rng.normal(0, 4 * s))))
             else:
-                dboxes.append((float(rng.uniform(0, 50)), float(rng.uniform(0, 50)),
-                               float(rng.uniform(1, 30)), float(rng.uniform(1, 30))))
+                dboxes.append((float(rng.uniform(0, 50 * s)),
+                               float(rng.uniform(0, 50 * s)),
+                               float(rng.uniform(1, 30 * s)),
+                               float(rng.uniform(1, 30 * s))))
             # quantized scores so ties occur
             dscores.append(round(float(rng.uniform(0.1, 1.0)), 1))
             dclasses.append(int(rng.integers(1, 3)))
         dets.append(dset(np.array(dboxes).reshape(-1, 4), dscores, dclasses))
     return dets, gts
+
+
+def slow_inputs(dets, gts, cls=None):
+    """``evaluate_slow``'s per-image inputs, only class ``cls`` if given."""
+    from sfadet.hsi import eval_annotation_access
+    with eval_annotation_access():
+        gts = [(np.asarray(g.boxes, dtype=np.float64).reshape(-1, 4),
+                np.asarray(g.classes, dtype=np.int64)) for g in gts]
+    dets = [(d.boxes, d.scores, d.classes) for d in dets]
+    if cls is not None:
+        gts = [(b[c == cls], c[c == cls]) for b, c in gts]
+        dets = [(b[c == cls], sc[c == cls], c[c == cls]) for b, sc, c in dets]
+    return dets, [(b, list(c)) for b, c in gts]
 
 
 class TestOracle:
@@ -211,11 +283,7 @@ class TestOracle:
             rng = np.random.default_rng(seed)
             dets, gts = random_case(rng)
             rep = evalap.evaluate(dets, gts)
-            slow_in_dets = [(d.boxes, d.scores, d.classes) for d in dets]
-            from sfadet.hsi import eval_annotation_access
-            with eval_annotation_access():
-                slow_in_gts = [(np.asarray(g.boxes, dtype=np.float64).reshape(-1, 4),
-                                list(g.classes)) for g in gts]
+            slow_in_dets, slow_in_gts = slow_inputs(dets, gts)
             slow = evaluate_slow(slow_in_dets, slow_in_gts)
             assert rep.ap50 == slow["ap50"], f"seed {seed}"
             assert rep.ap == slow["ap"], f"seed {seed}"
@@ -226,13 +294,39 @@ class TestOracle:
             rng = np.random.default_rng(10_000 + seed)
             dets, gts = random_case(rng)
             rep = evalap.evaluate(dets, gts)
-            slow_in_dets = [(d.boxes, d.scores, d.classes) for d in dets]
-            from sfadet.hsi import eval_annotation_access
-            with eval_annotation_access():
-                slow_in_gts = [(np.asarray(g.boxes, dtype=np.float64).reshape(-1, 4),
-                                list(g.classes)) for g in gts]
+            slow_in_dets, slow_in_gts = slow_inputs(dets, gts)
             small = evaluate_slow(slow_in_dets, slow_in_gts, 0.0, 1024.0)
             med = evaluate_slow(slow_in_dets, slow_in_gts, 1024.0, 9216.0)
             assert rep.ap_small == small["ap"], f"seed {seed}"
             assert rep.ap_medium == med["ap"], f"seed {seed}"
             assert rep.ar_small == small["ar"], f"seed {seed}"
+
+    @pytest.mark.parametrize("chunk", range(3))
+    def test_capped_crowded_images_match_brute_force(self, chunk):
+        # 256-px images with 90-260 detections each: more than MAX_DETS of
+        # one class in an image, tied scores at the cap, large boxes; every
+        # bucket the cap can move, and each class's AP on its own
+        capped = large = 0
+        for seed in range(chunk * 20, (chunk + 1) * 20):
+            rng = np.random.default_rng(20_000 + seed)
+            dets, gts = random_case(rng, size=256, n_det=(90, 261))
+            rep = evalap.evaluate(dets, gts)
+            slow_dets, slow_gts = slow_inputs(dets, gts)
+            full = evaluate_slow(slow_dets, slow_gts)
+            big = evaluate_slow(slow_dets, slow_gts, 9216.0)
+            med = evaluate_slow(slow_dets, slow_gts, 1024.0, 9216.0)
+            assert (rep.ap50, rep.ap, rep.ar) == (
+                full["ap50"], full["ap"], full["ar"]), f"seed {seed}"
+            assert (rep.ap_large, rep.ar_large, rep.ar_medium) == (
+                big["ap"], big["ar"], med["ar"]), f"seed {seed}"
+            with_gt = sorted({int(c) for _, cs in slow_gts for c in cs})
+            assert sorted(rep.per_class) == with_gt, f"seed {seed}"
+            for c in with_gt:
+                one = evaluate_slow(*slow_inputs(dets, gts, c))
+                assert rep.per_class[c] == {"AP@0.5": one["ap50"],
+                                            "AP": one["ap"]}, f"seed {seed}"
+            capped += any(np.bincount(d.classes).max() > evalap.MAX_DETS
+                          for d in dets)
+            large += any(w * h >= 9216.0 for boxes, _ in slow_gts
+                         for _, _, w, h in boxes)
+        assert capped and large

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from sfadet.hsi import (
     spectral_angle,
     write_cube,
 )
+
+from oracles import mutate_field
 
 
 def small_cube():
@@ -131,6 +135,24 @@ class TestMatchBands:
         np.testing.assert_array_equal(out.values.ravel(), expected)
 
 
+VALID_ANNOTATIONS = {
+    "images": [{"id": 0, "file": "a.hsic", "width": 40, "height": 30,
+                "bands": 2},
+               {"id": 7, "file": "b.hsic", "width": 20, "height": 20,
+                "bands": 2}],
+    "annotations": [
+        {"id": 1, "image_id": 0, "bbox": [1, 2, 5, 6], "category_id": 1},
+        {"id": 2, "image_id": 7, "bbox": [3.5, 3, 4, 4], "category_id": 2},
+        {"image_id": 0, "bbox": [10, 0, 20, 20], "category_id": 2}],
+    "categories": [{"id": 1, "name": "class_1"}, {"id": 2, "name": "class_2"}],
+}
+VALID_ANNOTATIONS_PARSE = [([(1.0, 2.0, 5.0, 6.0), (10.0, 0.0, 20.0, 20.0)],
+                            [1, 2]),
+                           ([(3.5, 3.0, 4.0, 4.0)], [2])]
+# fields load_annotations does not read: any value, or none, parses the same
+UNREAD_FIELDS = {("images", "bands"), ("annotations", "id")}
+
+
 class TestAnnotations:
     def test_round_trip(self, tmp_path):
         cube = HyperCube(np.zeros((2, 20, 30), dtype=np.float32))
@@ -172,7 +194,7 @@ class TestAnnotations:
                            match=f"annotation 5 has no '{key}' key"):
             hsi.load_annotations(path)
 
-    @pytest.mark.parametrize("key", ["id", "width", "height"])
+    @pytest.mark.parametrize("key", ["id", "width", "height", "file"])
     def test_image_record_missing_key_named(self, tmp_path, key):
         images = [{"id": i, "file": "x", "width": 10, "height": 10, "bands": 1}
                   for i in range(2)]
@@ -182,6 +204,56 @@ class TestAnnotations:
         with pytest.raises(hsi.AnnotationError) as err:
             hsi.load_annotations(path)
         assert str(err.value) == f"{path}: image #1 has no '{key}' key"
+
+    @pytest.mark.parametrize("record, cause", [
+        (5, "image #1 is not a JSON object"),
+        ({"id": "1"}, "image #1: id must be an integer, got '1'"),
+        ({"id": True}, "image #1: id must be an integer, got True"),
+        ({"id": 0}, "image #1: duplicate id 0"),
+        ({"file": 5}, "image #1: file must be a string, got 5"),
+        ({"width": "64"}, "image #1: width must be an integer >= 1, got '64'"),
+        ({"width": 0}, "image #1: width must be an integer >= 1, got 0"),
+        ({"height": 10.0},
+         "image #1: height must be an integer >= 1, got 10.0"),
+        ({"height": -3}, "image #1: height must be an integer >= 1, got -3"),
+    ])
+    def test_unusable_image_record_named(self, tmp_path, record, cause):
+        # at the parent of this check: a duplicate id scored one image
+        # twice, and the others failed with a bare TypeError
+        good = {"id": 0, "file": "x", "width": 10, "height": 10, "bands": 1}
+        bad = {**good, "id": 1, **record} if isinstance(record, dict) else record
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": [good, bad], "annotations": []}))
+        with pytest.raises(hsi.AnnotationError) as err:
+            hsi.load_annotations(path)
+        assert str(err.value) == f"{path}: {cause}"
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_field_fails_named_or_parses_the_same(self, data):
+        doc = json.loads(json.dumps(VALID_ANNOTATIONS))
+        part = data.draw(st.sampled_from(["images", "annotations"]))
+        i = data.draw(st.integers(0, len(doc[part]) - 1))
+        key, value = mutate_field(data, doc[part][i])
+        accepted = ((part, key) in UNREAD_FIELDS
+                    or (key == "file" and type(value) is str))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ann.json")
+            with open(path, "w") as f:
+                json.dump(doc, f)
+            if not accepted:
+                with pytest.raises(hsi.AnnotationError) as err:
+                    hsi.load_annotations(path)
+                where = f"image #{i}" if part == "images" else "annotation "
+                assert str(err.value).startswith(f"{path}: {where}")
+                assert "\n" not in str(err.value)
+                return
+            got = hsi.load_annotations(path)
+        # each image record comes back as read; boxes and classes unmoved.
+        # Compared as JSON text, since a NaN field is unequal to itself
+        want = [(img, boxes, classes) for img, (boxes, classes)
+                in zip(doc["images"], VALID_ANNOTATIONS_PARSE)]
+        assert json.dumps(got) == json.dumps(want)
 
     def test_unknown_image_id_named(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -203,6 +275,8 @@ class TestAnnotations:
         ({"category_id": "a"}, "category_id must be an integer, got 'a'"),
         ({"category_id": 1.5}, "category_id must be an integer, got 1.5"),
         ({"category_id": True}, "category_id must be an integer, got True"),
+        ({"image_id": True}, "image_id must be an integer, got True"),
+        ({"image_id": "0"}, "image_id must be an integer, got '0'"),
     ])
     def test_bad_bbox_or_category_named(self, tmp_path, change, cause):
         path = tmp_path / "bad.json"
