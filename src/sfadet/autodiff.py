@@ -9,13 +9,11 @@ run, so the buffers the forward saved are freed at their last use. A node
 keeps only the inputs whose gradient it computes and the arrays its
 backward reads. Reductions accumulate in float64 before casting back to
 float32 to keep Frobenius norms stable on wide cubes.
-Convolution unrolls its input one image at a time, into one reused
-C-ordered (C*k*k, Ho*Wo) buffer that the image's GEMM reads; a 1x1,
-stride-1, unpadded conv reads its input as it is. No conv keeps its
-columns: a conv whose weight needs a gradient keeps its input, and
-backward unrolls it again into channel-major columns, a (C*k*k, N*Ho*Wo)
-array whose column n*Ho*Wo + i is output position i of image n, which
-the weight gradient reads.
+A conv unrolls its input with one gather, a slice copy per tap: the
+forward one image at a time into one reused buffer, the weight gradient
+the kept input into channel-major (C*k*k, N*Ho*Wo) columns; a 1x1,
+stride-1, unpadded conv reads its input as it is. The input gradient is a
+stride-1 col2im on each of the stride**2 parity phases of the padded grid.
 With ``upsample=2``, a 3x3 conv of the nearest-2x upsampled input runs as
 four 2x2 sub-pixel phase convs on the low-resolution input, one per
 output pixel phase, whose taps are sums of the 3x3 taps.
@@ -23,6 +21,7 @@ output pixel phase, whose taps are sums of the 3x3 taps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -396,30 +395,6 @@ def matmul(a, b):
 # convolution / pooling / resampling
 
 
-def _im2col(x, k, stride, padding):
-    """(N, C*k*k, Ho*Wo) columns of an NCHW array, as a view of one
-    channel-major (C*k*k, N*Ho*Wo) buffer; of ``x`` itself for a 1x1,
-    stride-1, unpadded conv."""
-    n, c, h, w = x.shape
-    if k == 1 and stride == 1 and not padding:
-        return x.reshape(n, c, h * w), h, w
-    xp = x.transpose(1, 0, 2, 3)
-    if padding:
-        xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
-    ho = (xp.shape[2] - k) // stride + 1
-    wo = (xp.shape[3] - k) // stride + 1
-    s = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, k, k, n, ho, wo),
-        strides=(s[0], s[2], s[3], s[1], s[2] * stride, s[3] * stride),
-        writeable=False,
-    )
-    cols = np.ascontiguousarray(cols).reshape(c * k * k, n, ho * wo)
-    return cols.transpose(1, 0, 2), ho, wo
-
-
 def conv2d(x, w, b, stride=1, padding=0, upsample=1):
     """Cross-correlation of NCHW input with OIkk weights plus per-channel bias.
 
@@ -455,13 +430,11 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wd + 2 * padding - k) // stride + 1
     p = ho * wo
-    if k == 1 and stride == 1 and not padding:
-        out = np.matmul(wmat, _columns(x.data, k, stride, padding, o)[0])
-    else:
-        out = np.empty((n, o, p), dtype=np.float32)
-        for i, cols in enumerate(_image_columns(x.data, k, stride, padding,
-                                                ho, wo)):
-            np.matmul(wmat, cols, out=out[i])
+    out = np.empty((n, o, p), dtype=np.float32)
+    buf = np.zeros((c, k, k, 1, ho, wo), dtype=np.float32)
+    for i in range(n):
+        cols = _columns(x.data[i:i + 1], k, stride, padding, o, buf)
+        np.matmul(wmat, cols[0], out=out[i])
     out += b.data.reshape(o, 1)
     out = out.reshape(n, o, ho, wo)
     tx, tw, tb = _needing_grad(x, w, b)
@@ -472,11 +445,8 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
     def bw(g):
         gout = g.reshape(n, o, p)
         if tw is not None:
-            # einsum's GEMM reads the columns as (C*k*k, N*Ho*Wo): a view
-            # of the channel-major buffer, unless they are x or a copy
-            cols = _columns(xd, k, stride, padding, o)[0]
-            gw = np.einsum("nop,ncp->oc", gout, cols, optimize=True)
-            del cols
+            gw = np.einsum("nop,ncp->oc", gout,
+                           _columns(xd, k, stride, padding, o), optimize=True)
             _acc(tw, gw.reshape(o, c, k, k))
         if tb is not None:
             _acc(tb, gout.sum(axis=(0, 2)))
@@ -487,91 +457,90 @@ def conv2d(x, w, b, stride=1, padding=0, upsample=1):
     return _node(out, (x, w, b), bw)
 
 
-def _columns(x, k, stride, padding, o):
-    """``_im2col`` of ``x`` for a conv of ``o`` output channels, laid out
-    as the 1x1 forward's GEMM and the weight gradient's einsum read them.
-
-    OpenBLAS picks its kernel, and with it the order of each dot
-    product's sum, from the matrix sizes and operand layouts. The
-    products of conv2d have the sizes and layouts of conv2d_batch_major
-    in tests/oracles.py, so they give its sums and signed zeros: one GEMM
-    per image, and a C-ordered copy where numpy uses gemv, dot or
-    einsum's own loops (o == 1 or Ho*Wo == 1), which read strided
-    operands in another order.
-    """
-    cols, ho, wo = _im2col(x, k, stride, padding)
-    if o == 1 or ho * wo == 1:
-        cols = cols.copy()
-    return cols, ho, wo
+@functools.lru_cache(maxsize=256)
+def _spans(k, stride, padding, size, n_out):
+    """For each tap t < k, the output positions j whose input position
+    j*stride + d, d = t - padding, lies in [0, size), and the input they
+    read."""
+    spans = []
+    for d in range(-padding, k - padding):
+        lo = max(0, -(d // stride))
+        hi = max(lo, min(n_out, (size - 1 - d) // stride + 1))
+        spans.append((slice(lo, hi), slice(lo * stride + d, hi * stride + d, stride)))
+    return tuple(spans)
 
 
-def _image_columns(x, k, stride, padding, ho, wo):
-    """Each image's (C*k*k, Ho*Wo) columns of an NCHW array, in turn, in
-    one C-ordered buffer that every image overwrites: the layout of one
-    image's columns in conv2d_batch_major (tests/oracles.py), so the
-    forward GEMM on it gives the oracle's bits.
+def _columns(x, k, stride, padding, o, buf=None):
+    """Columns of an NCHW array for a conv of ``o`` output channels: the
+    (N, C*k*k, Ho*Wo) operand of the forward's per-image GEMM and of the
+    weight gradient's einsum. They are a view of ``x`` for a 1x1,
+    stride-1, unpadded conv, else of ``buf``, a channel-major
+    (C, k, k, N, Ho, Wo) array (made here if none is given) into which each
+    tap copies the input it reads; positions that read the padding keep
+    the zeros ``buf`` was made with.
 
-    Each tap (ki, kj) copies the input rows and columns it reads to the
-    output positions that read them; positions that read the padding are
-    zeroed once and never written.
+    OpenBLAS picks each dot product's summation order from the matrix
+    sizes and operand layouts. These are the ones of conv2d_batch_major in
+    tests/oracles.py, so they give its sums and signed zeros, with a
+    C-ordered copy where numpy uses gemv, dot or einsum's own loops
+    (o == 1 or Ho*Wo == 1), which read strided operands in another order.
     """
     n, c, h, wd = x.shape
-
-    def span(t, size, n_out):
-        # output positions j whose input j*stride + t - padding lies in
-        # [0, size), and the input slice they read
-        lo = max(0, -((t - padding) // stride))
-        hi = max(lo, min(n_out, (size - 1 + padding - t) // stride + 1))
-        first = lo * stride + t - padding
-        return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
-
-    taps = [((slice(None), ki, kj, ro, co), (slice(None), ri, ci))
-            for ki, (ro, ri) in enumerate(span(t, h, ho) for t in range(k))
-            for kj, (co, ci) in enumerate(span(t, wd, wo) for t in range(k))]
-    buf = np.zeros((c, k, k, ho, wo), dtype=np.float32)
-    cols = buf.reshape(c * k * k, ho * wo)
-    for xi in x:
-        for dst, src in taps:
-            buf[dst] = xi[src]
-        yield cols
+    if k == 1 and stride == 1 and not padding:
+        cols = x.reshape(n, c, h * wd)
+    else:
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (wd + 2 * padding - k) // stride + 1
+        if buf is None:
+            buf = np.zeros((c, k, k, n, ho, wo), dtype=np.float32)
+        across = _spans(k, stride, padding, wd, wo)
+        # image by image, so that the k*k taps reread an image from cache
+        for i, xi in enumerate(x):
+            for ki, (ro, ri) in enumerate(_spans(k, stride, padding, h, ho)):
+                for kj, (co, ci) in enumerate(across):
+                    buf[:, ki, kj, i, ro, co] = xi[:, ri, ci]
+        cols = buf.reshape(c * k * k, n, ho * wo).transpose(1, 0, 2)
+    if o == 1 or cols.shape[2] == 1:
+        cols = np.ascontiguousarray(cols)
+    return cols
 
 
 def _col2im(wmat, gout, shape, k, stride, padding, ho, wo):
     """Input gradient of a conv: the per-image GEMM ``wmat.T @ gout``,
     whose (C, k, k) rows are each added to the padded input gradient at
-    its tap's offset, in tap order onto zeros.
-
-    At stride 1 this runs on each image's padded (Hp, Wp) grid flattened
-    to one run, as ``_conv2d_up2`` does: the output gradient is
-    zero-extended to Ho x Wp, so that each tap adds one contiguous
-    Ho*Wp run per (image, channel), at offset ki*Wp + kj. The extra
-    columns hold products of zeros, which leave every sum of real terms
-    as it was: a running sum that starts at +0 never holds -0.
+    its tap's offset, in tap order onto zeros, on the stride**2 parity
+    phases of the padded grid. Phase (a, b), its rows a, a + s, ... and
+    columns b, b + s, ..., is one flattened (Hq, Wq) run per image and
+    channel. Tap (ki, kj) of output (i, j) lands in phase (ki % s, kj % s)
+    at (i + ki//s, j + kj//s), so with the output gradient zero-extended to
+    Ho x Wq each tap adds one contiguous run at offset (ki//s)*Wq + kj//s:
+    a stride-1 col2im per phase; stride 1 is the one-phase case. The extra
+    columns hold products of zeros, which leave every sum of real terms as
+    it was: a running sum that starts at +0 never holds -0.
     """
     n, c, h, wd = shape
-    o = gout.shape[1]
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if stride == 1:
-        m = ho * wp
-        gext = np.zeros((n, o, ho, wp), dtype=np.float32)
-        gext[..., :wo] = gout.reshape(n, o, ho, wo)
-        gcols = np.matmul(wmat.T, gext.reshape(n, o, m)).reshape(n, c, k * k, m)
-        del gext
-        # k - 1 trailing zeros: the last row's extra positions land past
-        # the grid
-        gxpf = np.zeros((n, c, hp * wp + k - 1), dtype=np.float32)
-        for t in range(k * k):
-            off = (t // k) * wp + t % k
-            gxpf[:, :, off:off + m] += gcols[:, :, t]
-        gx = gxpf[:, :, :hp * wp].reshape(n, c, hp, wp)
-    else:
-        gcols = np.matmul(wmat.T, gout).reshape(n, c, k, k, ho, wo)
-        gx = np.zeros((n, c, hp, wp), dtype=np.float32)
-        for ki in range(k):
-            for kj in range(k):
-                gx[:, :, ki : ki + stride * ho : stride,
-                   kj : kj + stride * wo : stride] += gcols[:, :, ki, kj]
-    return gx[:, :, padding:padding + h, padding:padding + wd]
+    o, s = gout.shape[1], stride
+    hq, wq = -(-(h + 2 * padding) // s), -(-(wd + 2 * padding) // s)
+    m = ho * wq
+    gext = np.zeros((n, o, ho, wq), dtype=np.float32)
+    gext[..., :wo] = gout.reshape(n, o, ho, wo)
+    gcols = np.matmul(wmat.T, gext.reshape(n, o, m)).reshape(n, c, k * k, m)
+    del gext
+    # the last row's extra positions land up to (k - 1)//s past the grid
+    ph = np.zeros((n, c, s, s, hq * wq + (k - 1) // s), dtype=np.float32)
+    for t in range(k * k):
+        ki, kj = divmod(t, k)
+        off = (ki // s) * wq + kj // s
+        ph[:, :, ki % s, kj % s, off:off + m] += gcols[:, :, t]
+    del gcols
+    ph = ph[..., :hq * wq].reshape(n, c, s, s, hq, wq)
+    gx = np.empty(shape, dtype=np.float32)
+    for y0, x0 in itertools.product(range(s), repeat=2):
+        # input rows y0, y0 + s, ... are phase a's rows r0, r0 + 1, ...
+        (r0, a), (c0, b) = divmod(y0 + padding, s), divmod(x0 + padding, s)
+        dst = gx[:, :, y0::s, x0::s]
+        dst[...] = ph[:, :, a, b, r0:r0 + dst.shape[2], c0:c0 + dst.shape[3]]
+    return gx
 
 
 def _fold3(v):

@@ -140,9 +140,9 @@ def cmd_eval(args):
                                       dtype=np.float32))
         samples.append(hsi.AnnotatedSample(cube, boxes, classes,
                                            image_id=img["id"]))
-    with open(args.detections) as f:
-        records = json.load(f)
     try:
+        with open(args.detections) as f:
+            records = json.load(f)
         dets = evalap.group_detections(records, [s.image_id for s in samples])
     except ValueError as e:
         raise ValueError(f"{args.detections}: {e}") from None

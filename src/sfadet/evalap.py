@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detect import DetectionSet, iou_xywh
-from .hsi import eval_annotation_access, is_finite_number, is_xywh
+from .hsi import (eval_annotation_access, int64_problem, is_finite_number,
+                  is_xywh)
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
 RECALL_POINTS = np.arange(101) / 100.0
@@ -24,16 +25,6 @@ BUCKETS = {
     "medium": (AREA_SMALL_MAX, AREA_MEDIUM_MAX),
     "large": (AREA_MEDIUM_MAX, float("inf")),
 }
-
-
-def size_bucket(box):
-    """small / medium / large by box area with edges at 32^2 and 96^2."""
-    area = float(box[2]) * float(box[3])
-    if area < AREA_SMALL_MAX:
-        return "small"
-    if area < AREA_MEDIUM_MAX:
-        return "medium"
-    return "large"
 
 
 # the report's columns, in order: (report key, EvalReport field)
@@ -75,8 +66,8 @@ def _detection_problem(r):
         if key not in r:
             return f"no {key!r} key"
     for key in ("image_id", "category_id"):
-        if type(r[key]) is not int:
-            return f"{key} must be an integer, got {r[key]!r}"
+        if problem := int64_problem(key, r[key]):
+            return problem
     if "id" in r and type(r["id"]) not in (int, str):
         return f"id must be an integer or a string, got {r['id']!r}"
     if not is_xywh(r["bbox"]):
@@ -91,9 +82,9 @@ def group_detections(records, known_image_ids):
 
     Records may carry an optional unique "id", an integer or a string;
     duplicates are rejected. A record without image_id, bbox, score or
-    category_id, with an image_id or category_id that is not an integer,
-    a bbox that is not 4 finite numbers or a score that is not a finite
-    number, is rejected with its "id" (or its index) named.
+    category_id, with an image_id or category_id that is not a 64-bit
+    integer, a bbox that is not 4 finite numbers or a score that is not a
+    finite number, is rejected with its "id" (or its index) named.
     """
     if not isinstance(records, list):
         raise ValueError("detections must be a JSON list of records")

@@ -244,6 +244,16 @@ def is_finite_number(v):
     return type(v) in (int, float) and math.isfinite(v)
 
 
+def int64_problem(key, v):
+    """Why JSON field ``key`` = ``v`` is not an integer that int64 holds
+    (a bool is not one), or None."""
+    if type(v) is not int:
+        return f"{key} must be an integer, got {v!r}"
+    if not -2**63 <= v < 2**63:
+        return f"{key} must be a 64-bit integer, got {v}"
+    return None
+
+
 def is_xywh(v):
     """True for a JSON box: a list (or tuple) of 4 finite numbers."""
     return (type(v) in (list, tuple) and len(v) == 4
@@ -272,9 +282,8 @@ def load_annotations(path):
         for key in ("id", "file", "width", "height"):
             if key not in img:
                 raise AnnotationError(f"{where} has no {key!r} key")
-        if type(img["id"]) is not int:
-            raise AnnotationError(
-                f"{where}: id must be an integer, got {img['id']!r}")
+        if problem := int64_problem("id", img["id"]):
+            raise AnnotationError(f"{where}: {problem}")
         if img["id"] in by_img:
             raise AnnotationError(f"{where}: duplicate id {img['id']}")
         if type(img["file"]) is not str:
@@ -284,6 +293,8 @@ def load_annotations(path):
             if type(img[key]) is not int or img[key] < 1:
                 raise AnnotationError(
                     f"{where}: {key} must be an integer >= 1, got {img[key]!r}")
+            if problem := int64_problem(key, img[key]):
+                raise AnnotationError(f"{where}: {problem}")
         by_img[img["id"]] = (img, [], [])
     for i, a in enumerate(anns):
         if not isinstance(a, dict):
@@ -292,18 +303,16 @@ def load_annotations(path):
         for key in ("image_id", "bbox", "category_id"):
             if key not in a:
                 raise AnnotationError(f"{where} has no {key!r} key")
-        if type(a["image_id"]) is not int:
-            raise AnnotationError(
-                f"{where}: image_id must be an integer, got {a['image_id']!r}")
+        if problem := int64_problem("image_id", a["image_id"]):
+            raise AnnotationError(f"{where}: {problem}")
         if a["image_id"] not in by_img:
             raise AnnotationError(f"{where}: unknown image_id {a['image_id']!r}")
         bbox, cat = a["bbox"], a["category_id"]
         if not is_xywh(bbox):
             raise AnnotationError(
                 f"{where}: bbox must be 4 finite numbers, got {bbox!r}")
-        if type(cat) is not int:
-            raise AnnotationError(
-                f"{where}: category_id must be an integer, got {cat!r}")
+        if problem := int64_problem("category_id", cat):
+            raise AnnotationError(f"{where}: {problem}")
         img, boxes, classes = by_img[a["image_id"]]
         x, y, w, h = bbox
         if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > img["width"] or y + h > img["height"]:

@@ -74,8 +74,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not (value >= 0 and np.isfinite(value)):
                 raise ConfigError(f"{name} must be non-negative and finite, got {value}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
+        for name in ("iterations", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("batch_size", "proposals_train", "proposals_infer"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")

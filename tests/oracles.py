@@ -744,7 +744,8 @@ DROPPED = _Dropped()  # the field was removed
 JSON_JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4),
     st.floats(allow_nan=False, allow_infinity=False), st.just(1e30),
-    st.just(float("nan")), st.lists(st.integers(), max_size=3),
+    st.just(float("nan")), st.just(2**63), st.just(-2**63 - 1),
+    st.lists(st.integers(), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 
 

@@ -25,7 +25,7 @@ from oracles import (
     roi_loss_f64,
     sacm_loss_loops,
 )
-from test_eval import random_case
+from test_eval import random_case, size_buckets
 
 
 CRITERIA = {
@@ -342,7 +342,7 @@ def test_criterion_5_band_matching():
 def test_criterion_6_evaluator():
     for wh, bucket in [((31, 31), "small"), ((32, 32), "medium"),
                        ((95, 96), "medium"), ((96, 96), "large")]:
-        assert evalap.size_bucket((0, 0, wh[0], wh[1])) == bucket
+        assert size_buckets(*wh) == [bucket]
 
     for seed in range(200):
         rng = np.random.default_rng(seed)

@@ -228,6 +228,25 @@ class TestConsumedTape:
             tracemalloc.stop()
         assert peak - out.data.nbytes <= 1.05 * one_image
 
+    def test_weight_gradient_gathers_without_a_padded_copy(self):
+        # enc1's weight gradient on the training batch, whose input needs
+        # no gradient: backward allocates the batch's columns and little
+        # else, no zero-padded copy of the batch to gather them from
+        rng = np.random.default_rng(4)
+        x = Tensor(randn(rng, 6, 60, 64, 64))
+        w, b = (Tensor(randn(rng, *s), requires_grad=True)
+                for s in ((16, 60, 3, 3), (16,)))
+        out = ad.conv2d(x, w, b, stride=2, padding=1)
+        g = randn(rng, *out.shape)
+        columns = 60 * 3 * 3 * 6 * 32 * 32 * 4   # C*k*k * N*Ho*Wo float32
+        tracemalloc.start()
+        try:
+            out.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad is not None and peak <= 1.05 * columns
+
     def test_second_backward_on_consumed_graph_raises(self):
         loss, (w, b), _, _ = _conv_graph(np.random.default_rng(2))
         loss.backward()

@@ -204,6 +204,12 @@ class TestTrainInferEval:
         ({"score": "0.9"}, "score must be a finite number, got '0.9'"),
         ({"category_id": 1.5}, "category_id must be an integer, got 1.5"),
         ({"image_id": [0]}, "image_id must be an integer, got [0]"),
+        # these once failed in numpy with no path: "Python int too large
+        # to convert to C long"
+        ({"category_id": 10**30},
+         f"category_id must be a 64-bit integer, got {10**30}"),
+        ({"image_id": -2**63 - 1},
+         f"image_id must be a 64-bit integer, got {-2**63 - 1}"),
     ])
     def test_eval_bad_detection_record_is_one_line_error(self, tmp_path,
                                                           capsys, change,
@@ -220,6 +226,19 @@ class TestTrainInferEval:
                    "--annotations", str(ann)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {dets}: detection #1: {cause}\n"
+
+    def test_eval_malformed_detections_file_is_named(self, tmp_path, capsys):
+        # the JSON error once came without the file's path
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({"images": [
+            {"id": 0, "file": "x", "width": 10, "height": 10, "bands": 1}]}))
+        dets = tmp_path / "dets.json"
+        dets.write_text('[{"image_id": 0,')
+        assert run("eval", "--detections", str(dets),
+                   "--annotations", str(ann)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dets}: Expecting property name")
+        assert err.count("\n") == 1
 
 
     def test_infer_image_record_without_file_is_one_line_error(

@@ -18,6 +18,13 @@ def sample(boxes, classes, size=64, held_out=False):
                            list(classes), held_out=held_out)
 
 
+def size_buckets(w, h):
+    """The size buckets whose half-open area interval in evalap.BUCKETS,
+    the one evaluate reads, holds a w x h box."""
+    return [name for name, (lo, hi) in evalap.BUCKETS.items()
+            if name != "all" and lo <= w * h < hi]
+
+
 def dset(boxes, scores, classes):
     return DetectionSet(
         np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
@@ -84,7 +91,7 @@ class TestSizeBuckets:
          ((200, 200), "large")],
     )
     def test_boundaries(self, wh, bucket):
-        assert evalap.size_bucket((0, 0, wh[0], wh[1])) == bucket
+        assert size_buckets(*wh) == [bucket]
 
     def test_out_of_bucket_gt_is_ignored_not_fp(self):
         # small-bucket pass: the only gt is medium-sized, the matching
@@ -157,6 +164,8 @@ class TestGrouping:
         ({"image_id": None}, "image_id must be an integer, got None"),
         ({"category_id": [1]}, "category_id must be an integer, got [1]"),
         ({"image_id": [1]}, "image_id must be an integer, got [1]"),
+        ({"category_id": 2**63},
+         f"category_id must be a 64-bit integer, got {2**63}"),
     ])
     def test_bad_record_named(self, change, cause):
         good = {"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5,
@@ -197,9 +206,10 @@ class TestGrouping:
             assert msg.startswith(("detection ", "duplicate detection id "))
             return
         got = evalap.group_detections(records, [1, 2])
+        # scores are read as float64, so an integer score past 2**53 rounds
         assert [list(zip(d.boxes.tolist(), d.scores.tolist(),
                          d.classes.tolist())) for d in got] == [
-            [(r["bbox"], r["score"], r["category_id"]) for r in records
+            [(r["bbox"], float(r["score"]), r["category_id"]) for r in records
              if r["image_id"] == img] for img in (1, 2)]
 
     def test_non_record_rejected(self):

@@ -216,6 +216,10 @@ class TestAnnotations:
         ({"height": 10.0},
          "image #1: height must be an integer >= 1, got 10.0"),
         ({"height": -3}, "image #1: height must be an integer >= 1, got -3"),
+        ({"id": -2**63 - 1},
+         f"image #1: id must be a 64-bit integer, got {-2**63 - 1}"),
+        ({"width": 2**63},
+         f"image #1: width must be a 64-bit integer, got {2**63}"),
     ])
     def test_unusable_image_record_named(self, tmp_path, record, cause):
         # at the parent of this check: a duplicate id scored one image
@@ -277,6 +281,8 @@ class TestAnnotations:
         ({"category_id": True}, "category_id must be an integer, got True"),
         ({"image_id": True}, "image_id must be an integer, got True"),
         ({"image_id": "0"}, "image_id must be an integer, got '0'"),
+        ({"category_id": 2**63},
+         f"category_id must be a 64-bit integer, got {2**63}"),
     ])
     def test_bad_bbox_or_category_named(self, tmp_path, change, cause):
         path = tmp_path / "bad.json"

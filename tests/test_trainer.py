@@ -77,6 +77,7 @@ class TestConfig:
         ("batch_size", 0, "batch_size must be at least 1, got 0"),
         ("batch_size", -1, "batch_size must be at least 1, got -1"),
         ("iterations", -1, "iterations must be non-negative, got -1"),
+        ("seed", -1, "seed must be non-negative, got -1"),
         ("lr", -1.0, "lr must be non-negative and finite, got -1.0"),
         ("lr", float("nan"), "lr must be non-negative and finite, got nan"),
         ("lr", float("inf"), "lr must be non-negative and finite, got inf")])
@@ -93,6 +94,14 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match=re.escape(f"{path}:1: sacm_normalize")):
             trainer.load_config(path)
+
+    def test_negative_seed_named_with_the_file(self, tmp_path):
+        # a negative seed once loaded and then failed in numpy's seeding
+        path = tmp_path / "cfg.txt"
+        path.write_text("seed=-1\n")
+        with pytest.raises(ConfigError) as err:
+            trainer.load_config(path)
+        assert str(err.value) == f"{path}: seed must be non-negative, got -1"
 
     @pytest.mark.parametrize("value,want", [
         ("true", True), ("True", True), ("1", True), ("YES", True),
