@@ -200,6 +200,8 @@ def cmd_ablate(args):
 
 
 def build_parser():
+    from .trainer import ABLATIONS
+
     p = argparse.ArgumentParser(
         prog="sfa",
         description="cross-domain hyperspectral object detection experiments",
@@ -224,7 +226,7 @@ def build_parser():
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--seed", type=int)
-    t.add_argument("--ablation", choices=("full", "no_sacm", "no_ssam_sacm"))
+    t.add_argument("--ablation", choices=ABLATIONS)
     t.set_defaults(fn=cmd_train)
 
     i = sub.add_parser("infer", help="detect objects with a checkpoint")

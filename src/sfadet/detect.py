@@ -12,9 +12,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .ssam import FPN_WIDTH, _conv_init
+from .ssam import FPN_WIDTH, STRIDES, init_params
 
-STRIDES = (2, 4, 8)
 BASE_SIZES = (16, 32, 64)
 ASPECT_RATIOS = (0.5, 1.0, 2.0)
 ROI_POOL = 4
@@ -230,30 +229,20 @@ def nms(boxes, scores, iou_thresh, max_keep=None, groups=None):
 # parameters
 
 
+def layer_shapes(num_classes):
+    """The weight shape of each head layer, in draw order: the RPN's convs
+    (out, in, k, k), then the ROI head's dense layers (in, out)."""
+    return {"rpn.conv": (FPN_WIDTH, FPN_WIDTH, 3, 3),
+            "rpn.obj": (len(ASPECT_RATIOS), FPN_WIDTH, 1, 1),
+            "rpn.reg": (4 * len(ASPECT_RATIOS), FPN_WIDTH, 1, 1),
+            "roi.fc": (FPN_WIDTH * ROI_POOL * ROI_POOL, ROI_HIDDEN),
+            "roi.cls": (ROI_HIDDEN, num_classes + 1),
+            "roi.reg": (ROI_HIDDEN, 4 * num_classes)}
+
+
 def init_detect_params(num_classes, rng):
     """Learnable tensors for the RPN and ROI heads, keyed by name."""
-    t = {}
-    t["rpn.conv.w"], t["rpn.conv.b"] = _conv_init(rng, FPN_WIDTH, FPN_WIDTH, 3)
-    t["rpn.obj.w"], t["rpn.obj.b"] = _conv_init(rng, len(ASPECT_RATIOS), FPN_WIDTH, 1)
-    t["rpn.reg.w"], t["rpn.reg.b"] = _conv_init(
-        rng, 4 * len(ASPECT_RATIOS), FPN_WIDTH, 1
-    )
-    feat_dim = FPN_WIDTH * ROI_POOL * ROI_POOL
-    std = np.sqrt(2.0 / feat_dim)
-    t["roi.fc.w"] = Tensor(
-        rng.normal(0, std, size=(feat_dim, ROI_HIDDEN)), requires_grad=True
-    )
-    t["roi.fc.b"] = Tensor(np.zeros(ROI_HIDDEN), requires_grad=True)
-    std2 = np.sqrt(2.0 / ROI_HIDDEN)
-    t["roi.cls.w"] = Tensor(
-        rng.normal(0, std2, size=(ROI_HIDDEN, num_classes + 1)), requires_grad=True
-    )
-    t["roi.cls.b"] = Tensor(np.zeros(num_classes + 1), requires_grad=True)
-    t["roi.reg.w"] = Tensor(
-        rng.normal(0, std2, size=(ROI_HIDDEN, 4 * num_classes)), requires_grad=True
-    )
-    t["roi.reg.b"] = Tensor(np.zeros(4 * num_classes), requires_grad=True)
-    return t
+    return init_params(layer_shapes(num_classes), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +465,7 @@ def roi_loss(fpn_levels, proposals_per_image, gt_per_image, params):
     return ad.add(cls_term, reg_term)
 
 
-def roi_predict(fpn_levels, proposals_per_image, params, num_classes):
+def roi_predict(fpn_levels, proposals_per_image, params):
     """Score and refine proposals into final per-image detections.
 
     A proposal is emitted only when a foreground class strictly beats the
@@ -492,7 +481,7 @@ def roi_predict(fpn_levels, proposals_per_image, params, num_classes):
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
 
-    fg = probs[:, 1:num_classes + 1]
+    fg = probs[:, 1:]   # the foreground classes, one column each
     # (row, class) pairs in row-major order, as a loop over rows then
     # classes would emit them
     rows, cols = np.nonzero(~((fg <= probs[:, :1]) | (fg < SCORE_FLOOR)))
@@ -505,7 +494,7 @@ def roi_predict(fpn_levels, proposals_per_image, params, num_classes):
     # one class-wise NMS over every image: a group per (image, class), so an
     # image's kept boxes come out by (-score, class, x, y, w, h)
     keep = nms(all_boxes, all_scores, DET_NMS_IOU,
-               groups=det_images * (num_classes + 1) + all_classes)
+               groups=det_images * probs.shape[1] + all_classes)
     out = []
     for img in range(n_images):
         kept = keep[det_images[keep] == img][:MAX_DETS]

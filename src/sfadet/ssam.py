@@ -8,6 +8,7 @@ domain losses. Checkpoints use the flat "SFAW" binary format.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -17,24 +18,17 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 ENC_CHANNELS = (16, 32, 64)
+STRIDES = (2, 4, 8)        # of the encoder stages and the pyramid levels
 FPN_WIDTH = 32
 DC_HIDDEN = 16
-STRIDE_TOTAL = 8
 
 CKPT_MAGIC = b"SFAW"
 CKPT_VERSION = 2
+CKPT_MAX_RANK = 32         # numpy 1.x's most dimensions; no layer has over 4
 
 
 class CheckpointError(ValueError):
     pass
-
-
-def _conv_init(rng, out_c, in_c, k):
-    """He-normal weights for a k x k conv."""
-    std = np.sqrt(2.0 / (in_c * k * k))
-    w = Tensor(rng.normal(0.0, std, size=(out_c, in_c, k, k)), requires_grad=True)
-    b = Tensor(np.zeros(out_c), requires_grad=True)
-    return w, b
 
 
 class Params(dict):
@@ -45,25 +39,39 @@ class Params(dict):
         return list(self.values())
 
 
+def layer_shapes(in_bands):
+    """The weight shape of each backbone layer, in draw order: encoder,
+    mirrored decoder, pyramid laterals and smoothers, domain classifier."""
+    enc = (in_bands,) + ENC_CHANNELS
+    dec = ENC_CHANNELS[::-1] + (in_bands,)
+    dc = (FPN_WIDTH, DC_HIDDEN, DC_HIDDEN, 1)
+    shapes = {f"enc{i}": (enc[i], enc[i - 1], 3, 3) for i in (1, 2, 3)}
+    shapes.update({f"dec{i}": (dec[i], dec[i - 1], 3, 3) for i in (1, 2, 3)})
+    for i, c in enumerate(ENC_CHANNELS, start=1):
+        shapes[f"lat{i}"] = (FPN_WIDTH, c, 1, 1)
+        shapes[f"out{i}"] = (FPN_WIDTH, FPN_WIDTH, 3, 3)
+    shapes.update({f"dc{i}": (dc[i], dc[i - 1], 1, 1) for i in (1, 2, 3)})
+    return shapes
+
+
+def init_params(shapes, rng):
+    """A ``<layer>.w`` and ``<layer>.b`` tensor for each layer of a shape
+    table, drawn in its order: He-normal weights, std sqrt(2 / fan-in),
+    and zero biases with one entry per output. A 4-d weight is a conv's
+    (out, in, k, k), a 2-d one a dense layer's (in, out)."""
+    params = Params()
+    for layer, shape in shapes.items():
+        conv = len(shape) == 4
+        std = np.sqrt(2.0 / (math.prod(shape[1:]) if conv else shape[0]))
+        params[f"{layer}.w"] = Tensor(rng.normal(0.0, std, size=shape),
+                                      requires_grad=True)
+        params[f"{layer}.b"] = Tensor(np.zeros(shape[0] if conv else shape[1]),
+                                      requires_grad=True)
+    return params
+
+
 def init_ssam(in_bands, rng):
-    t = Params()
-    c_prev = in_bands
-    for i, c in enumerate(ENC_CHANNELS, start=1):
-        t[f"enc{i}.w"], t[f"enc{i}.b"] = _conv_init(rng, c, c_prev, 3)
-        c_prev = c
-    # decoder mirrors: nearest-2x upsample + 3x3 conv
-    dec_out = (ENC_CHANNELS[1], ENC_CHANNELS[0], in_bands)
-    c_prev = ENC_CHANNELS[2]
-    for i, c in enumerate(dec_out, start=1):
-        t[f"dec{i}.w"], t[f"dec{i}.b"] = _conv_init(rng, c, c_prev, 3)
-        c_prev = c
-    for i, c in enumerate(ENC_CHANNELS, start=1):
-        t[f"lat{i}.w"], t[f"lat{i}.b"] = _conv_init(rng, FPN_WIDTH, c, 1)
-        t[f"out{i}.w"], t[f"out{i}.b"] = _conv_init(rng, FPN_WIDTH, FPN_WIDTH, 3)
-    t["dc1.w"], t["dc1.b"] = _conv_init(rng, DC_HIDDEN, FPN_WIDTH, 1)
-    t["dc2.w"], t["dc2.b"] = _conv_init(rng, DC_HIDDEN, DC_HIDDEN, 1)
-    t["dc3.w"], t["dc3.b"] = _conv_init(rng, 1, DC_HIDDEN, 1)
-    return t
+    return init_params(layer_shapes(in_bands), rng)
 
 
 @dataclass
@@ -78,9 +86,9 @@ def ssam_forward(batch: Tensor, params: Params, grl_scale=-0.5,
                  with_decoder=True, with_classifier=True) -> SsamOutput:
     """Run the backbone on an (N, L, H, W) batch."""
     n, l, h, w = batch.shape
-    if h % STRIDE_TOTAL or w % STRIDE_TOTAL:
+    if h % STRIDES[-1] or w % STRIDES[-1]:
         raise ad.ShapeError(
-            f"spatial dims {h}x{w} must be divisible by {STRIDE_TOTAL}; "
+            f"spatial dims {h}x{w} must be divisible by {STRIDES[-1]}; "
             f"pad or crop the cubes first"
         )
     in_bands = params["enc1.w"].shape[1]
@@ -209,11 +217,18 @@ def load_params(path):
     out = Params()
     for i in range(count):
         (nlen,) = struct.unpack("<H", take(2, f"record {i}"))
-        name = bytes(take(nlen, f"the name of record {i}")).decode()
+        try:
+            name = bytes(take(nlen, f"the name of record {i}")).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: the name of record {i} is not "
+                                  "UTF-8") from None
         (rank,) = struct.unpack("<B", take(1, f"record {name!r}"))
+        if rank > CKPT_MAX_RANK:
+            raise CheckpointError(f"{path}: record {name!r} has rank {rank}, "
+                                  f"more than {CKPT_MAX_RANK}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r}"))
-        n = int(np.prod(dims)) if rank else 1
-        vals = np.frombuffer(take(4 * n, f"the values of {name!r}"), dtype="<f4")
+        size = 4 * math.prod(dims)
+        vals = np.frombuffer(take(size, f"the values of {name!r}"), "<f4")
         out[name] = Tensor(vals.reshape(dims).copy())
     if off != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after {count} records")

@@ -345,16 +345,6 @@ def save_checkpoint(state: TrainState, path):
             os.remove(tmp)
 
 
-class _ShapesOnly:
-    """Stands in for the Generator of ``init_ssam`` and
-    ``init_detect_params`` where only the shapes of their tensors are
-    read: its draws are left unset."""
-
-    @staticmethod
-    def normal(loc, scale, size):
-        return np.empty(size, dtype=np.float32)
-
-
 def load_checkpoint(path):
     """(params, in_bands, num_classes) of a checkpoint; the two counts are
     read off the ``enc1.w`` and ``roi.cls.w`` tensors.
@@ -375,8 +365,9 @@ def load_checkpoint(path):
         raise ssam.CheckpointError(
             f"{path}: layer 'roi.cls.w' must be 2-d with at least 2 columns, "
             f"got shape {cls}")
-    want = ssam.init_ssam(enc[1], _ShapesOnly)
-    want.update(detect.init_detect_params(cls[1] - 1, _ShapesOnly))
+    want = ssam.init_params(   # a model of these counts, for its shapes
+        {**ssam.layer_shapes(enc[1]), **detect.layer_shapes(cls[1] - 1)},
+        np.random.default_rng(0))
     missing, unknown = want.keys() - params.keys(), params.keys() - want.keys()
     if missing:
         raise ssam.CheckpointError(f"{path}: missing layer {min(missing)!r}")
@@ -456,7 +447,6 @@ def infer(params, in_bands, num_classes, cubes, cfg: TrainConfig = None):
         props = detect.rpn_proposals(logits, deltas, detect.anchors_for(h, w),
                                      (h, w), pre_nms=400,
                                      post_nms=cfg.proposals_infer)
-        dets = detect.roi_predict(fwd.fpn_levels, [props[0][0]], params,
-                                  num_classes)
+        dets = detect.roi_predict(fwd.fpn_levels, [props[0][0]], params)
         out.extend(dets)
     return out

@@ -759,3 +759,51 @@ def mutate_field(data, record):
     else:
         record[key] = value
     return key, value
+
+
+# ---------------------------------------------------------------------------
+# the model's initial draws, as first written layer by layer
+
+
+def _conv_init_by_hand(rng, out_c, in_c, k):
+    std = np.sqrt(2.0 / (in_c * k * k))
+    return (rng.normal(0.0, std, size=(out_c, in_c, k, k)).astype(np.float32),
+            np.zeros(out_c, dtype=np.float32))
+
+
+def init_ssam_by_hand(in_bands, rng):
+    """The backbone's He-normal weights and zero biases, in draw order:
+    encoder, decoder, pyramid (each lateral before its smoother), domain
+    classifier."""
+    t = {}
+    c_prev = in_bands
+    for i, c in enumerate((16, 32, 64), start=1):
+        t[f"enc{i}.w"], t[f"enc{i}.b"] = _conv_init_by_hand(rng, c, c_prev, 3)
+        c_prev = c
+    for i, c in enumerate((32, 16, in_bands), start=1):
+        t[f"dec{i}.w"], t[f"dec{i}.b"] = _conv_init_by_hand(rng, c, c_prev, 3)
+        c_prev = c
+    for i, c in enumerate((16, 32, 64), start=1):
+        t[f"lat{i}.w"], t[f"lat{i}.b"] = _conv_init_by_hand(rng, 32, c, 1)
+        t[f"out{i}.w"], t[f"out{i}.b"] = _conv_init_by_hand(rng, 32, 32, 3)
+    t["dc1.w"], t["dc1.b"] = _conv_init_by_hand(rng, 16, 32, 1)
+    t["dc2.w"], t["dc2.b"] = _conv_init_by_hand(rng, 16, 16, 1)
+    t["dc3.w"], t["dc3.b"] = _conv_init_by_hand(rng, 1, 16, 1)
+    return t
+
+
+def init_detect_by_hand(num_classes, rng):
+    """The RPN's three convs, then the ROI head's three dense layers, each
+    weight He-normal with std sqrt(2 / fan-in) and each bias zero."""
+    t = {}
+    t["rpn.conv.w"], t["rpn.conv.b"] = _conv_init_by_hand(rng, 32, 32, 3)
+    t["rpn.obj.w"], t["rpn.obj.b"] = _conv_init_by_hand(rng, 3, 32, 1)
+    t["rpn.reg.w"], t["rpn.reg.b"] = _conv_init_by_hand(rng, 12, 32, 1)
+    for name, (fan_in, out) in (("roi.fc", (512, 64)),
+                                ("roi.cls", (64, num_classes + 1)),
+                                ("roi.reg", (64, 4 * num_classes))):
+        std = np.sqrt(2.0 / fan_in)
+        t[f"{name}.w"] = rng.normal(0, std, size=(fan_in, out)).astype(
+            np.float32)
+        t[f"{name}.b"] = np.zeros(out, dtype=np.float32)
+    return t

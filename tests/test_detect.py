@@ -624,8 +624,7 @@ class TestRoiHead:
         rng = np.random.default_rng(9)
         fpn = tiny_fpn(rng, size=16)
         dets = detect.roi_predict(
-            fpn, [np.array([[2.0, 2.0, 8.0, 8.0]])], params, num_classes=2
-        )
+            fpn, [np.array([[2.0, 2.0, 8.0, 8.0]])], params)
         assert len(dets) == 1 and len(dets[0]) == 0
 
     def test_predict_scores_sorted_and_capped(self, monkeypatch):
@@ -636,7 +635,7 @@ class TestRoiHead:
         fpn = tiny_fpn(rng, size=16)
         props = [np.stack([rng.uniform(0, 8, 30), rng.uniform(0, 8, 30),
                            rng.uniform(2, 8, 30), rng.uniform(2, 8, 30)], axis=1)]
-        dets = detect.roi_predict(fpn, props, params, num_classes=2)
+        dets = detect.roi_predict(fpn, props, params)
         assert len(dets[0]) <= 5
         assert np.all(np.diff(dets[0].scores) <= 1e-12)
 
@@ -660,7 +659,7 @@ class TestRoiHead:
             p = rng.integers(0, 6, size=(n, 4)) * 2.0 + [0, 0, 2, 2]
             dup = rng.random(n) < 0.3
             props.append(np.concatenate([p, p[dup]]))
-        got = detect.roi_predict(fpn, props, params, num_classes)
+        got = detect.roi_predict(fpn, props, params)
         want = roi_predict_loops(fpn, props, params, num_classes)
         assert len(got) == len(want) == n_images
         for g, w in zip(got, want):
@@ -669,7 +668,7 @@ class TestRoiHead:
 
     def test_empty_proposals_give_empty_sets(self):
         params = detect.init_detect_params(1, np.random.default_rng(0))
-        dets = detect.roi_predict([], [np.zeros((0, 4))] * 2, params, 1)
+        dets = detect.roi_predict([], [np.zeros((0, 4))] * 2, params)
         assert len(dets) == 2 and all(len(d) == 0 for d in dets)
 
 

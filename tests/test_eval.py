@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfadet import evalap
-from sfadet.detect import DetectionSet
-from sfadet.hsi import AnnotatedSample, HyperCube
+from sfadet.detect import DetectionSet, iou_xywh
+from sfadet.hsi import AnnotatedSample, HyperCube, eval_annotation_access
 
 from oracles import DROPPED, evaluate_slow, mutate_field
 
@@ -340,3 +340,61 @@ class TestOracle:
             large += any(w * h >= 9216.0 for boxes, _ in slow_gts
                          for _, _, w, h in boxes)
         assert capped and large
+
+
+def gt_lists(gts):
+    with eval_annotation_access():
+        return [(list(g.boxes), list(g.classes)) for g in gts]
+
+
+class TestMetamorphic:
+    # each relation held on 2,000 random_case seeds before it was pinned here
+    @pytest.mark.parametrize("chunk", range(2))
+    def test_image_order_does_not_matter_with_distinct_scores(self, chunk):
+        for seed in range(chunk * 100, (chunk + 1) * 100):
+            rng = np.random.default_rng(30_000 + seed)
+            dets, gts = random_case(rng)
+            n = sum(len(d) for d in dets)
+            scores = iter((rng.permutation(n) + 1) / (n + 1))
+            dets = [dset(d.boxes, [next(scores) for _ in d.scores], d.classes)
+                    for d in dets]
+            perm = rng.permutation(len(dets))
+            moved = evalap.evaluate([dets[i] for i in perm],
+                                    [gts[i] for i in perm])
+            assert moved.to_json() == evalap.evaluate(dets, gts).to_json(), \
+                f"seed {seed}"
+
+    def test_doubled_geometry_keeps_ap_and_ar(self):
+        # IoU is scale-free, and doubling is exact in floating point; the
+        # size buckets move, so only the all-area numbers are compared
+        for seed in range(200):
+            rng = np.random.default_rng(40_000 + seed)
+            dets, gts = random_case(rng)
+            big_dets = [dset(2 * d.boxes, d.scores, d.classes) for d in dets]
+            big_gts = [sample(2 * np.asarray(boxes).reshape(-1, 4), classes,
+                              size=128) for boxes, classes in gt_lists(gts)]
+            rep, big = evalap.evaluate(dets, gts), evalap.evaluate(big_dets,
+                                                                   big_gts)
+            assert (big.ap50, big.ap, big.ar) == (rep.ap50, rep.ap, rep.ar), \
+                f"seed {seed}"
+
+    def test_lowest_scored_miss_keeps_ap_and_ar(self):
+        for seed in range(200):
+            rng = np.random.default_rng(50_000 + seed)
+            dets, gts = random_case(rng)
+            k = int(rng.integers(len(dets)))
+            boxes = np.asarray(gt_lists(gts)[k][0]).reshape(-1, 4)
+            for _ in range(100):   # a box in the image that overlaps no gt
+                box = np.concatenate([rng.uniform(0, 56, 2),
+                                      rng.uniform(1, 8, 2)])
+                if not len(boxes) or iou_xywh(box, boxes).max() == 0:
+                    break
+            else:
+                continue
+            more = list(dets)
+            more[k] = dset(np.vstack([dets[k].boxes, box]),
+                           np.append(dets[k].scores, 0.05),
+                           np.append(dets[k].classes, rng.integers(1, 3)))
+            rep, got = evalap.evaluate(dets, gts), evalap.evaluate(more, gts)
+            assert (got.ap50, got.ap, got.ar) == (rep.ap50, rep.ap, rep.ar), \
+                f"seed {seed}"

@@ -72,6 +72,28 @@ class TestCubeIO:
                            match=f"^{re.escape(str(path))}: {re.escape(cause)}$"):
             read_cube(path)
 
+    # magic (4 bytes), version (2), then width, height and bands (4 each)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_header_byte_or_cut_fails_named(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.hsic")
+            write_cube(small_cube(), path)
+            with open(path, "rb") as f:
+                raw = bytearray(f.read())
+            if data.draw(st.booleans()):
+                raw[data.draw(st.integers(0, 17))] ^= data.draw(
+                    st.integers(1, 255))
+            else:
+                del raw[data.draw(st.integers(0, len(raw) - 1)):]
+            with open(path, "wb") as f:
+                f.write(raw)
+            with pytest.raises((hsi.CubeFormatError,
+                                hsi.CubeTruncationError)) as err:
+                read_cube(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "\n" not in str(err.value)
+
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "c.hsic"
         write_cube(small_cube(), path)

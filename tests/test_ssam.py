@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -281,6 +282,28 @@ class TestCheckpoint:
         with pytest.raises(ssam.CheckpointError,
                            match=f"^{re.escape(str(path))}: truncated {where}"):
             ssam.load_params(path)
+
+    @staticmethod
+    def _one_record(name, dims, payload=b""):
+        return (ssam.CKPT_MAGIC + struct.pack("<HI", ssam.CKPT_VERSION, 1)
+                + struct.pack("<H", len(name)) + name
+                + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + payload)
+
+    # each failed without naming the file at the parent of this check: a
+    # bare UnicodeDecodeError; numpy's "maximum supported dimension";
+    # np.prod wrapped to a negative size, and the reshape failed
+    @pytest.mark.parametrize("name,dims,cause", [
+        (b"\xffw", (1,), "the name of record 0 is not UTF-8"),
+        (b"x", (1,) * 65, "record 'x' has rank 65, more than 32"),
+        (b"x", (2**32 - 1, 2**32 - 1), "truncated in the values of 'x': "
+         f"needs {22 + 4 * (2**32 - 1) ** 2} bytes, has 26"),
+    ], ids=["not_utf8", "rank_65", "size_past_int64"])
+    def test_unreadable_record_named(self, tmp_path, name, dims, cause):
+        path = tmp_path / "m.sfaw"
+        path.write_bytes(self._one_record(name, dims, payload=b"\0" * 4))
+        with pytest.raises(ssam.CheckpointError) as err:
+            ssam.load_params(path)
+        assert str(err.value) == f"{path}: {cause}"
 
 
 def _probe_accuracy(fs, ft):

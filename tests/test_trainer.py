@@ -1,4 +1,9 @@
+import functools
+import math
+import os
 import re
+import struct
+import tempfile
 import weakref
 
 import numpy as np
@@ -9,7 +14,8 @@ from sfadet import autodiff as ad, detect, hsi, ssam, trainer
 from sfadet.hsi import AnnotatedSample, HyperCube, HeldOutAnnotationError
 from sfadet.trainer import ConfigError, LOSS_FIELDS, LossBreakdown, TrainConfig
 
-from oracles import (backward_whole_tape, jitter_loops, same_bits,
+from oracles import (backward_whole_tape, init_detect_by_hand,
+                     init_ssam_by_hand, jitter_loops, same_bits,
                      standardize_cube_two_pass)
 
 
@@ -35,6 +41,27 @@ def quick_cfg(**kw):
     kw.setdefault("iterations", 3)
     kw.setdefault("proposals_train", 4)
     return TrainConfig(**kw)
+
+
+# a config file as a user writes one: a comment, a blank line, and a
+# key=value line for every field, with "lambda" for lam
+VALID_CONFIG = ("# reference run", "", "epsilon=0.5", "eta=0.4", "tau=0.2",
+                "beta=2.0", "lambda=0.25", "grl_scale=-0.5", "alpha=0.01",
+                "lr=1e-3", "iterations=20", "batch_size=2", "ablation=no_sacm",
+                "seed=3", "sacm_normalize=yes", "target_rpn=off",
+                "proposals_train=12", "proposals_infer=50")
+CONFIG_CHAR = (st.characters(min_codepoint=32, max_codepoint=126)
+               | st.sampled_from("\t=#"))
+
+
+def mutate_line(data, line):
+    """``line`` replaced by drawn text, or with one character inserted,
+    replaced or deleted."""
+    if data.draw(st.booleans()):
+        return data.draw(st.text(CONFIG_CHAR, max_size=24))
+    at = data.draw(st.integers(0, len(line)))
+    new = data.draw(st.text(CONFIG_CHAR, max_size=1))
+    return line[:at] + new + line[at + data.draw(st.integers(0, 1)):]
 
 
 class TestConfig:
@@ -131,6 +158,42 @@ class TestConfig:
         path.write_text("seed=3\ntau=0.3\n")
         cfg = trainer.load_config(path, seed=99)
         assert (cfg.seed, cfg.tau) == (99, 0.3)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_line_fails_named_or_parses_the_same(self, data):
+        lines = list(VALID_CONFIG)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = mutate_line(data, lines[i])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.txt")
+            one = os.path.join(tmp, "one_line.txt")
+            # the file parses as its lines do one at a time, a later line of
+            # a key winning; the first line that fails alone fails the file
+            want, where, cause = {}, path, None
+            for ln, line in enumerate(lines, 1):
+                with open(one, "w") as f:
+                    f.write(line + "\n")
+                try:
+                    want.update(trainer.parse_config(
+                        one, TrainConfig, keys={"lam": "lambda"}))
+                except ConfigError as e:
+                    where = f"{path}:{ln}"
+                    cause = str(e).removeprefix(f"{one}:1: ")
+                    break
+            if cause is None:
+                try:
+                    want = TrainConfig(**want)
+                except ConfigError as e:
+                    cause = str(e)
+            with open(path, "w") as f:
+                f.write("\n".join(lines) + "\n")
+            if cause is None:
+                assert trainer.load_config(path) == want
+                return
+            with pytest.raises(ConfigError) as err:
+                trainer.load_config(path)
+        assert str(err.value) == f"{where}: {cause}"
 
 
 class TestStandardize:
@@ -526,6 +589,80 @@ class TestCheckpointAndInfer:
             np.testing.assert_array_equal(a.boxes, b.boxes)
             np.testing.assert_array_equal(a.scores, b.scores)
             np.testing.assert_array_equal(a.classes, b.classes)
+
+
+@functools.cache
+def small_checkpoint():
+    """The SFAW bytes of an untrained 2-band, 1-class model, and the offset
+    of every byte outside its value payloads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.sfaw")
+        trainer.save_checkpoint(trainer.init_state(quick_cfg(), 2, 1), path)
+        with open(path, "rb") as f:
+            raw = f.read()
+    # 10 header bytes, then per record: name length (2), name, rank (1),
+    # dims (4 each), float32 values
+    off, header = 10, list(range(10))
+    for _ in range(struct.unpack_from("<I", raw, 6)[0]):
+        (nlen,) = struct.unpack_from("<H", raw, off)
+        rank = raw[off + 2 + nlen]
+        dims = struct.unpack_from(f"<{rank}I", raw, off + 3 + nlen)
+        size = 3 + nlen + 4 * rank
+        header += range(off, off + size)
+        off += size + 4 * math.prod(dims)
+    assert off == len(raw)
+    return raw, header
+
+
+class TestCheckpointFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_header_byte_or_cut_fails_named(self, data):
+        # a changed value byte still loads: SFAW has no checksum
+        raw, header = small_checkpoint()
+        raw = bytearray(raw)
+        if data.draw(st.booleans()):
+            raw[data.draw(st.sampled_from(header))] ^= data.draw(
+                st.integers(1, 255))
+        else:
+            del raw[data.draw(st.integers(0, len(raw) - 1)):]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.sfaw")
+            with open(path, "wb") as f:
+                f.write(raw)
+            with pytest.raises(ssam.CheckpointError) as err:
+                trainer.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "\n" not in str(err.value)
+
+
+def assert_same_params(got, want):
+    """Same names in the same order, each a float32 leaf that requires
+    grad, with the bytes of ``want``'s array."""
+    assert list(got) == list(want)
+    for name, t in got.items():
+        assert t.requires_grad and same_bits(t.data, want[name]), name
+
+
+class TestInitialDraws:
+    # the bytes of the hand-written layer-by-layer init, which every
+    # training run starts from
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("bands,classes", [(60, 2), (6, 1), (3, 5)])
+    def test_init_matches_hand_written_draws(self, seed, bands, classes):
+        rng = np.random.default_rng(seed)
+        want = init_ssam_by_hand(bands, rng)
+        want.update(init_detect_by_hand(classes, rng))
+        state = trainer.init_state(TrainConfig(seed=seed), bands, classes)
+        assert_same_params(state.params, want)
+        # the training loop's batch draws go on from the same state
+        assert state.rng.random() == rng.random()
+        assert_same_params(
+            ssam.init_ssam(bands, np.random.default_rng(seed)),
+            init_ssam_by_hand(bands, np.random.default_rng(seed)))
+        assert_same_params(
+            detect.init_detect_params(classes, np.random.default_rng(seed)),
+            init_detect_by_hand(classes, np.random.default_rng(seed)))
 
 
 class TestGrlDecoupling:
