@@ -16,15 +16,17 @@ import sys
 import numpy as np
 
 
-def _load_synth_config(path, seed=None):
-    from .hsi import SynthConfig
-    from .trainer import parse_config
+def _config(path, cls, **flags):
+    """A ``cls`` read from the --config file at ``path`` (its defaults when
+    there is none), with each flag that is not None put in."""
+    from . import trainer
 
-    cfg = SynthConfig(**parse_config(path, SynthConfig, "synth config")
-                      if path else {})
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+    flags = {k: v for k, v in flags.items() if v is not None}
+    if not path:
+        return cls(**flags)
+    if cls is trainer.TrainConfig:
+        return trainer.load_config(path, **flags)
+    return cls(**{**trainer.parse_config(path, cls, "synth config"), **flags})
 
 
 def _print_config(obj):
@@ -36,7 +38,7 @@ def _print_config(obj):
 def cmd_gen_synth(args):
     from . import hsi
 
-    cfg = _load_synth_config(args.config, args.seed)
+    cfg = _config(args.config, hsi.SynthConfig, seed=args.seed)
     _print_config(cfg)
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
@@ -64,42 +66,34 @@ def cmd_band_match(args):
     print(f"matched {cube.bands} -> {out.bands} bands: {args.out}")
 
 
-def _load_dataset(dataset_dir, domain, held_out):
+def _load_dataset(directory, held_out):
+    """The samples of a domain directory: its annotations.json and the cube
+    file of each image record, which must have the record's size."""
     from . import hsi
 
-    d = os.path.join(dataset_dir, domain)
-    meta = hsi.load_annotations(os.path.join(d, "annotations.json"))
     samples = []
-    for img, boxes, classes in meta:
-        cube = hsi.read_cube(os.path.join(d, img["file"]))
+    for img, boxes, classes in hsi.load_annotations(
+            os.path.join(directory, "annotations.json")):
+        path = os.path.join(directory, img["file"])
+        cube = hsi.read_cube(path)
+        if (cube.width, cube.height) != (img["width"], img["height"]):
+            raise hsi.AnnotationError(
+                f"{path}: cube is {cube.width}x{cube.height}, its image "
+                f"record says {img['width']}x{img['height']}")
         samples.append(hsi.AnnotatedSample(cube, boxes, classes,
                                            held_out=held_out,
                                            image_id=img["id"]))
     return samples
 
 
-def _train_config(args, **overrides):
-    from . import trainer
-
-    if args.config:
-        cfg = trainer.load_config(args.config, **overrides)
-    else:
-        cfg = trainer.TrainConfig(**overrides)
-    return cfg
-
-
 def cmd_train(args):
     from . import trainer
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.ablation:
-        overrides["ablation"] = args.ablation
-    cfg = _train_config(args, **overrides)
+    cfg = _config(args.config, trainer.TrainConfig, seed=args.seed,
+                  ablation=args.ablation)
     _print_config(cfg)
-    source = _load_dataset(args.dataset, "source", held_out=False)
-    target = _load_dataset(args.dataset, "target", held_out=True)
+    source = _load_dataset(os.path.join(args.dataset, "source"), held_out=False)
+    target = _load_dataset(os.path.join(args.dataset, "target"), held_out=True)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.sfaw")
     losses = os.path.join(args.out, "losses.csv")
@@ -112,13 +106,9 @@ def cmd_infer(args):
     from . import detect, hsi, trainer
 
     params, in_bands, num_classes = trainer.load_checkpoint(args.checkpoint)
-    meta = hsi.load_annotations(os.path.join(args.dataset, "annotations.json")) \
-        if os.path.isdir(args.dataset) else None
-    if meta:
-        cubes, ids = [], []
-        for img, _, _ in meta:
-            cubes.append(hsi.read_cube(os.path.join(args.dataset, img["file"])))
-            ids.append(img["id"])
+    if os.path.isdir(args.dataset):
+        samples = _load_dataset(args.dataset, held_out=True)
+        cubes, ids = [s.cube for s in samples], [s.image_id for s in samples]
     else:
         cubes, ids = [hsi.read_cube(args.dataset)], [0]
     cubes = [hsi.match_bands(c, in_bands) for c in cubes]
@@ -132,21 +122,14 @@ def cmd_infer(args):
 def cmd_eval(args):
     from . import evalap, hsi
 
-    samples = []
-    meta = hsi.load_annotations(args.annotations)
-    for img, boxes, classes in meta:
-        # geometry-only evaluation: cubes are not needed, only sizes
-        cube = hsi.HyperCube(np.zeros((1, img["height"], img["width"]),
-                                      dtype=np.float32))
-        samples.append(hsi.AnnotatedSample(cube, boxes, classes,
-                                           image_id=img["id"]))
+    gt = hsi.load_annotations(args.annotations)
     try:
         with open(args.detections) as f:
             records = json.load(f)
-        dets = evalap.group_detections(records, [s.image_id for s in samples])
+        dets = evalap.group_detections(records, [a.image["id"] for a in gt])
     except ValueError as e:
         raise ValueError(f"{args.detections}: {e}") from None
-    report = evalap.evaluate(dets, samples)
+    report = evalap.evaluate(dets, gt)
     print(report.to_table())
     if args.out:
         with open(args.out, "w") as f:
@@ -174,24 +157,22 @@ def cmd_gram(args):
 def cmd_ablate(args):
     from . import evalap, trainer
 
-    source = _load_dataset(args.dataset, "source", held_out=False)
-    target = _load_dataset(args.dataset, "target", held_out=True)
+    source = _load_dataset(os.path.join(args.dataset, "source"), held_out=False)
+    target = _load_dataset(os.path.join(args.dataset, "target"), held_out=True)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     labels = {"no_ssam_sacm": "SFA w/o SSAM+SACM",
               "no_sacm": "SFA w/o SACM",
               "full": "SFA"}
-    for mode in ("no_ssam_sacm", "no_sacm", "full"):
-        overrides = {"ablation": mode}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        cfg = _train_config(args, **overrides)
+    for mode, label in labels.items():
+        cfg = _config(args.config, trainer.TrainConfig, seed=args.seed,
+                      ablation=mode)
         _print_config(cfg)
         state, _ = trainer.train(cfg, source, target)
         dets = trainer.infer(state.params, state.in_bands, state.num_classes,
                              [s.cube for s in target], cfg)
         report = evalap.evaluate(dets, target)
-        rows.append((labels[mode], report))
+        rows.append((label, report))
         trainer.save_checkpoint(state,
                                 os.path.join(args.out, f"model_{mode}.sfaw"))
     print(f"{'':20s}{'AP@0.5':>11s}")

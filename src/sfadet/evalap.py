@@ -182,7 +182,9 @@ def _mean(values):
 
 
 def evaluate(dets, gt_samples) -> EvalReport:
-    """Score per-image DetectionSets against annotated samples.
+    """Score per-image DetectionSets against ground truth: one object per
+    image with ``boxes`` (x, y, w, h) and ``classes``, such as an
+    AnnotatedSample or an ImageAnnotations record from load_annotations.
 
     One pass per class: in each image, the class's MAX_DETS best
     detections in score order are matched against its gts once per

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -260,10 +261,14 @@ def is_xywh(v):
             and all(map(is_finite_number, v)))
 
 
+ImageAnnotations = namedtuple("ImageAnnotations", "image boxes classes")
+
+
 def load_annotations(path):
-    """Return annotation metadata: list of (image record, boxes, classes);
-    a record that cannot be used fails with one AnnotationError line naming
-    the path and the record."""
+    """Return one ImageAnnotations per image: its JSON record, its (x, y, w,
+    h) boxes and their class ids, which the evaluator scores as ground
+    truth. A record that cannot be used fails with one AnnotationError line
+    naming the path and the record."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -295,7 +300,7 @@ def load_annotations(path):
                     f"{where}: {key} must be an integer >= 1, got {img[key]!r}")
             if problem := int64_problem(key, img[key]):
                 raise AnnotationError(f"{where}: {problem}")
-        by_img[img["id"]] = (img, [], [])
+        by_img[img["id"]] = ImageAnnotations(img, [], [])
     for i, a in enumerate(anns):
         if not isinstance(a, dict):
             raise AnnotationError(f"{path}: annotation #{i} is not a JSON object")
@@ -448,10 +453,18 @@ def generate_domain_pair(cfg: SynthConfig):
     # independent background pool for the target domain
     wl_t = np.linspace(0.0, 1.0, cfg.target_bands)
     bgs_tgt = []
-    while len(bgs_tgt) < cfg.num_backgrounds:
+    for _ in range(200 * cfg.num_backgrounds):
+        if len(bgs_tgt) == cfg.num_backgrounds:
+            break
         b = _smooth_curve(rng)
         if all(spectral_angle(m(wl_t), b(wl_t)) >= cfg.margin_deg for m in mats):
             bgs_tgt.append(b)
+    if len(bgs_tgt) < cfg.num_backgrounds:
+        # e.g. one target band: every spectral angle is 0 degrees
+        raise ValueError(
+            "generator config is degenerate: could not draw target "
+            f"backgrounds with the required {cfg.margin_deg} degree margin"
+        )
 
     source, target = [], []
     for i in range(cfg.num_source):

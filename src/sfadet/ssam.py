@@ -222,6 +222,9 @@ def load_params(path):
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: the name of record {i} is not "
                                   "UTF-8") from None
+        if name in out:
+            raise CheckpointError(f"{path}: record {i} repeats the name "
+                                  f"{name!r}")
         (rank,) = struct.unpack("<B", take(1, f"record {name!r}"))
         if rank > CKPT_MAX_RANK:
             raise CheckpointError(f"{path}: record {name!r} has rank {rank}, "

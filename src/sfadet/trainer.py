@@ -90,12 +90,13 @@ def parse_config(path, cls, what="config", keys=None) -> dict:
 
     Blank lines and ``#`` comments are skipped. ``keys`` maps field names
     to their names in the file. A value takes the type of its field's
-    default; a bool is one of true/false/1/0/yes/no. Every error is a
-    one-line ``ConfigError`` that starts with ``path:line``.
+    default; a bool is one of true/false/1/0/yes/no. A key may appear
+    once. Every error is a one-line ``ConfigError`` that starts with
+    ``path:line``.
     """
     names = {(keys or {}).get(f.name, f.name): f.name for f in fields(cls)}
     defaults = {f.name: f.default for f in fields(cls)}
-    kwargs = {}
+    kwargs, first_line = {}, {}
     with open(path) as f:
         for ln, line in enumerate(f, 1):
             line = line.strip()
@@ -116,6 +117,10 @@ def parse_config(path, cls, what="config", keys=None) -> dict:
                         else kind.__name__)
                 raise ConfigError(f"{where}: {key} must be {want}, "
                                   f"got {value!r}") from None
+            if key in first_line:
+                raise ConfigError(f"{where}: {key} was already set on line "
+                                  f"{first_line[key]}")
+            first_line[key] = ln
     return kwargs
 
 

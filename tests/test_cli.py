@@ -78,7 +78,8 @@ class TestGenSynth:
     @pytest.mark.parametrize("line,cause", [
         ("just some words", "expected key=value"),
         ("image_size=64.5", "image_size must be int"),
-        ("noise_source=loud", "noise_source must be float")])
+        ("noise_source=loud", "noise_source must be float"),
+        ("num_source=4", "num_source was already set on line 2")])
     def test_bad_config_line_names_path_and_line(self, tmp_path, capsys, line,
                                                  cause):
         cfg = tmp_path / "bad.cfg"
@@ -179,6 +180,26 @@ class TestTrainInferEval:
         assert "100.00%" in capsys.readouterr().out
         assert json.loads(outp.read_text())["AP@0.5"] == pytest.approx(1.0)
 
+    def test_eval_scores_an_image_too_large_for_memory(self, tmp_path,
+                                                      capsys):
+        # the evaluator once built a zero cube of each record's size, and
+        # this failed with "array is too big", naming no file
+        side = 2**40
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": 0, "file": "x", "width": side, "height": side}],
+            "annotations": [{"image_id": 0, "bbox": [0, 0, side / 2, side / 4],
+                             "category_id": 1}]}))
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([{"image_id": 0, "score": 0.9,
+                                     "bbox": [0, 0, side / 2, side / 4],
+                                     "category_id": 1}]))
+        outp = tmp_path / "report.json"
+        assert run("eval", "--detections", str(dets), "--annotations",
+                   str(ann), "--out", str(outp)) == 0
+        assert "100.00%" in capsys.readouterr().out
+        assert json.loads(outp.read_text())["AP@0.5"] == 1.0
+
     def test_eval_missing_file_errors(self, trained, tmp_path, capsys):
         _, data, _ = trained
         assert run("eval", "--detections", str(tmp_path / "none.json"),
@@ -254,6 +275,26 @@ class TestTrainInferEval:
         err = capsys.readouterr().err
         ann = tmp_path / "annotations.json"
         assert err == f"error: {ann}: image #0 has no 'file' key\n"
+
+
+class TestDatasetErrors:
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_cube_unlike_its_record_is_named(self, trained, dataset, tmp_path,
+                                             capsys, command):
+        # both once ran on the cube without a word; a cube too small for
+        # its boxes failed with "box ... exceeds cube", naming no file
+        tmp, _, out = trained
+        domain = "source" if command == "train" else "target"
+        cube = os.path.join(dataset, domain, "000001.hsic")
+        hsi.write_cube(hsi.HyperCube(np.zeros((8, 24, 16), np.float32)), cube)
+        argv = {"train": ["--config", str(tmp / "train.cfg"),
+                          "--dataset", dataset],
+                "infer": ["--checkpoint", os.path.join(out, "model.sfaw"),
+                          "--dataset", os.path.join(dataset, domain)]}
+        assert run(command, *argv[command],
+                   "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cube}: cube is 16x24, its image record says 32x32\n")
 
 
 class TestTrainConfigValues:

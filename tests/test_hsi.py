@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -410,6 +412,21 @@ class TestGenerator:
                 SynthConfig(min_objects=2, max_objects=0, num_source=1,
                             num_target=1)
             )
+
+    @pytest.mark.parametrize("field", ["source_bands", "target_bands"])
+    def test_one_band_domain_rejected(self, field):
+        # every 1-band spectral angle is 0 degrees; the target background
+        # draw once looped forever, so the call runs in a child process
+        code = ("import sys; from sfadet import hsi\n"
+                "try:\n"
+                f"    hsi.generate_domain_pair(hsi.SynthConfig({field}=1))\n"
+                "except ValueError as e:\n"
+                "    sys.exit(str(e))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("generator config is degenerate: ")
 
     def test_different_seed_differs(self):
         a, _ = hsi.generate_domain_pair(SynthConfig(num_source=1, num_target=1,

@@ -305,6 +305,19 @@ class TestCheckpoint:
             ssam.load_params(path)
         assert str(err.value) == f"{path}: {cause}"
 
+    def test_repeated_record_name_named(self, params, tmp_path):
+        # the later record once replaced the earlier one, and the checkpoint
+        # check then reported the dropped record as a missing layer
+        path = tmp_path / "m.sfaw"
+        ssam.save_params(params, path)
+        raw = path.read_bytes()
+        assert raw.count(b"enc1.b") == 1
+        path.write_bytes(raw.replace(b"enc1.b", b"enc1.w"))
+        with pytest.raises(ssam.CheckpointError) as err:
+            ssam.load_params(path)
+        i = sorted(params).index("enc1.w")
+        assert str(err.value) == f"{path}: record {i} repeats the name 'enc1.w'"
+
 
 def _probe_accuracy(fs, ft):
     """Accuracy of a freshly fit logistic probe separating the two sets."""

@@ -138,6 +138,18 @@ class TestConfig:
         path.write_text(f"sacm_normalize={value}\n")
         assert trainer.load_config(path).sacm_normalize is want
 
+    @pytest.mark.parametrize("text,key", [
+        ("beta=2.0\ntau=0.1\nbeta=3.0\n", "beta"),
+        ("lambda=0.4\n# again\n\nlambda=0.3\n", "lambda")])
+    def test_repeated_key_names_both_lines(self, tmp_path, text, key):
+        # the later line once won without a word
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        last = text.count("\n")
+        with pytest.raises(ConfigError) as err:
+            trainer.load_config(path)
+        assert str(err.value) == f"{path}:{last}: {key} was already set on line 1"
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# comment\n\ntau=0.1\n")
@@ -168,19 +180,28 @@ class TestConfig:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cfg.txt")
             one = os.path.join(tmp, "one_line.txt")
-            # the file parses as its lines do one at a time, a later line of
-            # a key winning; the first line that fails alone fails the file
-            want, where, cause = {}, path, None
+            # the file parses as its lines do one at a time; the first line
+            # that fails alone, or that sets a key an earlier line set,
+            # fails the file
+            want, first, where, cause = {}, {}, path, None
             for ln, line in enumerate(lines, 1):
                 with open(one, "w") as f:
                     f.write(line + "\n")
                 try:
-                    want.update(trainer.parse_config(
-                        one, TrainConfig, keys={"lam": "lambda"}))
+                    got = trainer.parse_config(one, TrainConfig,
+                                               keys={"lam": "lambda"})
                 except ConfigError as e:
                     where = f"{path}:{ln}"
                     cause = str(e).removeprefix(f"{one}:1: ")
                     break
+                if got:
+                    key = line.partition("=")[0].strip()
+                    if key in first:
+                        where = f"{path}:{ln}"
+                        cause = f"{key} was already set on line {first[key]}"
+                        break
+                    first[key] = ln
+                want.update(got)
             if cause is None:
                 try:
                     want = TrainConfig(**want)
