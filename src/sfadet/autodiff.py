@@ -251,31 +251,25 @@ def softplus(a):
 # reductions (float64 accumulation)
 
 
-def tsum(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, dtype=np.float64, keepdims=keepdims).astype(np.float32)
+def tsum(a, axis=None):
+    out = a.data.sum(axis=axis, dtype=np.float64).astype(np.float32)
 
     def bw(g):
         gg = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             gg = np.expand_dims(gg, axis)
         _acc(a, np.broadcast_to(gg, a.data.shape))
 
     return _node(out, (a,), bw)
 
 
-def tmean(a, axis=None, keepdims=False):
-    out = a.data.mean(axis=axis, dtype=np.float64, keepdims=keepdims).astype(np.float32)
-    if axis is None:
-        n = a.data.size
-    else:
-        ax = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = 1
-        for i in ax:
-            n *= a.data.shape[i]
+def tmean(a, axis=None):
+    out = a.data.mean(axis=axis, dtype=np.float64).astype(np.float32)
+    n = a.data.size // max(out.size, 1)   # entries averaged into each output
 
     def bw(g):
         gg = np.asarray(g) / np.float32(n)
-        if axis is not None and not keepdims:
+        if axis is not None:
             gg = np.expand_dims(gg, axis)
         _acc(a, np.broadcast_to(gg, a.data.shape))
 

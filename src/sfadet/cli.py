@@ -24,9 +24,8 @@ def _config(path, cls, **flags):
     flags = {k: v for k, v in flags.items() if v is not None}
     if not path:
         return cls(**flags)
-    if cls is trainer.TrainConfig:
-        return trainer.load_config(path, **flags)
-    return cls(**{**trainer.parse_config(path, cls, "synth config"), **flags})
+    what = "config" if cls is trainer.TrainConfig else "synth config"
+    return trainer.load_config(path, cls, what, **flags)
 
 
 def _print_config(obj):
@@ -155,28 +154,23 @@ def cmd_gram(args):
 
 
 def cmd_ablate(args):
-    from . import evalap, trainer
+    from . import trainer
 
     source = _load_dataset(os.path.join(args.dataset, "source"), held_out=False)
     target = _load_dataset(os.path.join(args.dataset, "target"), held_out=True)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
+    cfg = _config(args.config, trainer.TrainConfig, seed=args.seed)
     labels = {"no_ssam_sacm": "SFA w/o SSAM+SACM",
               "no_sacm": "SFA w/o SACM",
               "full": "SFA"}
+    for mode in labels:
+        _print_config(dataclasses.replace(cfg, ablation=mode))
+    results = trainer.ablate(cfg, source, target)
+    print(f"{'':20s}{'AP@0.5':>11s}")
     for mode, label in labels.items():
-        cfg = _config(args.config, trainer.TrainConfig, seed=args.seed,
-                      ablation=mode)
-        _print_config(cfg)
-        state, _ = trainer.train(cfg, source, target)
-        dets = trainer.infer(state.params, state.in_bands, state.num_classes,
-                             [s.cube for s in target], cfg)
-        report = evalap.evaluate(dets, target)
-        rows.append((label, report))
+        state, _, report = results[mode]
         trainer.save_checkpoint(state,
                                 os.path.join(args.out, f"model_{mode}.sfaw"))
-    print(f"{'':20s}{'AP@0.5':>11s}")
-    for label, report in rows:
         print(f"{label:20s}{100 * report.ap50:10.2f}%")
 
 

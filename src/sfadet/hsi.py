@@ -12,7 +12,7 @@ import json
 import math
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -357,11 +357,31 @@ class SynthConfig:
     target_offset: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (("source_bands", 1), ("target_bands", 1),
+                          ("image_size", 3), ("num_source", 1),
+                          ("num_target", 1), ("num_materials", 1),
+                          ("num_backgrounds", 1), ("min_objects", 0),
+                          ("max_objects", max(1, self.min_objects)),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, "
+                                 f"got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("source_scale", "target_scale", "min_object_frac",
+                     "max_object_frac", "noise_source", "noise_target"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, "
+                                 f"got {getattr(self, name)}")
 
-def _smooth_curve(rng, n_ctrl=6):
+
+def _smooth_curve(rng):
     """Random smooth spectral curve on [0, 1] wavelength units."""
-    ctrl = rng.uniform(0.2, 1.0, size=n_ctrl)
-    xs = np.linspace(0.0, 1.0, n_ctrl)
+    ctrl = rng.uniform(0.2, 1.0, size=6)
+    xs = np.linspace(0.0, 1.0, ctrl.size)
 
     def f(wl):
         return np.interp(wl, xs, ctrl)
@@ -446,8 +466,6 @@ def generate_domain_pair(cfg: SynthConfig):
     Both domains share object material curves; they differ in band count,
     object size distribution, background statistics, illumination and noise.
     """
-    if cfg.max_objects < 1 or cfg.min_objects > cfg.max_objects:
-        raise ValueError("generator config is degenerate: no objects possible")
     rng = np.random.default_rng(cfg.seed)
     mats, bgs_src = _sample_signatures(cfg, rng)
     # independent background pool for the target domain

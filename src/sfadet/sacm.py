@@ -38,6 +38,6 @@ def sacm_loss(f_s: Tensor, f_t: Tensor, normalize=False) -> Tensor:
     return ad.frobenius_sq(ad.sub(gram(f_t, normalize), gram(f_s, normalize)))
 
 
-def gram_values(feature: np.ndarray, normalize=False) -> np.ndarray:
+def gram_values(feature: np.ndarray) -> np.ndarray:
     """Plain-array Gram for inspection dumps (no graph)."""
-    return gram(Tensor(feature), normalize=normalize).data
+    return gram(Tensor(feature)).data

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, make_dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import detect, sacm, ssam
+from . import detect, evalap, sacm, ssam
 from .autodiff import Tensor
 from .hsi import match_bands
 
@@ -124,13 +124,13 @@ def parse_config(path, cls, what="config", keys=None) -> dict:
     return kwargs
 
 
-def load_config(path, **overrides) -> TrainConfig:
-    """Parse a flat key=value config file; bad keys and values are errors."""
-    args = parse_config(path, TrainConfig, keys={"lam": "lambda"})
+def load_config(path, cls=TrainConfig, what="config", **overrides):
+    """A ``cls`` from ``path`` and ``overrides``; every error names the path."""
+    args = parse_config(path, cls, what, keys={"lam": "lambda"})
     args.update(overrides)
     try:
-        return TrainConfig(**args)
-    except ConfigError as e:
+        return cls(**args)
+    except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
 
 
@@ -416,6 +416,17 @@ def train(cfg: TrainConfig, source_samples, target_samples,
     if checkpoint_path:
         save_checkpoint(state, checkpoint_path)
     return state, history
+
+
+def ablate(cfg: TrainConfig, source, target):
+    """{mode: (state, history, report)} for each mode, in ABLATIONS order."""
+    out = {}
+    for mode in ABLATIONS:
+        state, history = train(replace(cfg, ablation=mode), source, target)
+        dets = infer(state.params, state.in_bands, state.num_classes,
+                     [s.cube for s in target], state.cfg)
+        out[mode] = (state, history, evalap.evaluate(dets, target))
+    return out
 
 
 def write_loss_csv(history, path):

@@ -433,14 +433,8 @@ def trend_results():
     scfg = hsi.SynthConfig(seed=REF_SEED)
     src, tgt = hsi.generate_domain_pair(scfg)
     start = time.time()
-    out = {}
-    for mode in ("full", "no_sacm", "no_ssam_sacm"):
-        cfg = trainer.TrainConfig(ablation=mode, **REF_TRAIN)
-        state, history = trainer.train(cfg, src, tgt)
-        dets = trainer.infer(state.params, state.in_bands, state.num_classes,
-                             [t.cube for t in tgt], cfg)
-        rep = evalap.evaluate(dets, tgt)
-        out[mode] = (rep, history)
+    results = trainer.ablate(trainer.TrainConfig(**REF_TRAIN), src, tgt)
+    out = {mode: (rep, history) for mode, (_, history, rep) in results.items()}
     out["elapsed"] = time.time() - start
     return out
 

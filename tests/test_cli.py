@@ -90,6 +90,24 @@ class TestGenSynth:
         assert err.startswith(f"error: {cfg}:3: ") and cause in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line,cause", [
+        ("seed=-1", "seed must be at least 0, got -1"),
+        ("num_target=-2", "num_target must be at least 1, got -2"),
+        ("noise_source=nan", "noise_source must be finite, got nan"),
+        ("image_size=2", "image_size must be at least 3, got 2")])
+    def test_unusable_config_value_names_path_and_field(self, tmp_path, capsys,
+                                                        line, cause):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "o"
+        cfg.write_text(line + "\n")
+        assert run("gen-synth", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {cause}\n"
+        assert not out.exists()
+
+    def test_unusable_flag_value_names_field(self, tmp_path, capsys):
+        assert run("gen-synth", "--seed", "-1",
+                   "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+
 
 class TestBandMatch:
     def test_identity_keeps_payload(self, tmp_path):

@@ -407,11 +407,36 @@ class TestGenerator:
         assert checked > 0
 
     def test_degenerate_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^max_objects must be at least 2, got 0$"):
             hsi.generate_domain_pair(
                 SynthConfig(min_objects=2, max_objects=0, num_source=1,
                             num_target=1)
             )
+
+    @pytest.mark.parametrize("field,value,rule", [
+        ("source_bands", 0, "at least 1"), ("image_size", 2, "at least 3"),
+        ("num_source", 0, "at least 1"), ("num_materials", 0, "at least 1"),
+        ("num_backgrounds", 0, "at least 1"), ("min_objects", -1, "at least 0"),
+        ("max_objects", 0, "at least 1"), ("seed", -1, "at least 0"),
+        ("target_scale", -1.0, "non-negative"),
+        ("max_object_frac", -0.1, "non-negative"),
+        ("noise_target", -0.1, "non-negative"),
+        ("min_object_frac", float("inf"), "finite"),
+        ("margin_deg", float("nan"), "finite"),
+        ("target_offset", float("-inf"), "finite")])
+    def test_unusable_value_named(self, field, value, rule):
+        with pytest.raises(ValueError) as e:
+            SynthConfig(**{field: value})
+        assert str(e.value) == f"{field} must be {rule}, got {value}"
+
+    def test_smallest_accepted_values_generate(self):
+        src, tgt = hsi.generate_domain_pair(SynthConfig(
+            image_size=3, num_source=1, num_target=1, num_materials=1,
+            num_backgrounds=1, min_objects=0, max_objects=1, source_scale=0.0,
+            target_scale=0.0, min_object_frac=0.0, max_object_frac=0.0,
+            noise_source=0.0, noise_target=0.0))
+        assert [s.cube.values.shape[1:] for s in src + tgt] == [(3, 3)] * 2
 
     @pytest.mark.parametrize("field", ["source_bands", "target_bands"])
     def test_one_band_domain_rejected(self, field):

@@ -5,12 +5,13 @@ import re
 import struct
 import tempfile
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfadet import autodiff as ad, detect, hsi, ssam, trainer
+from sfadet import autodiff as ad, detect, evalap, hsi, ssam, trainer
 from sfadet.hsi import AnnotatedSample, HyperCube, HeldOutAnnotationError
 from sfadet.trainer import ConfigError, LOSS_FIELDS, LossBreakdown, TrainConfig
 
@@ -506,6 +507,29 @@ class TestConsumedTape:
         assert len(convs) > 10
         assert len(on_batch) == 2
         assert all(w is state.params["enc1.w"] for w in on_batch)
+
+
+class TestAblate:
+    def test_protocol_contract(self, datasets):
+        src, tgt = datasets
+        cfg = quick_cfg(seed=4)
+        results = trainer.ablate(cfg, src, tgt)
+        assert tuple(results) == trainer.ABLATIONS
+        for mode, (state, history, report) in results.items():
+            assert state.cfg == replace(cfg, ablation=mode)
+            assert len(history) == cfg.iterations
+            dets = trainer.infer(state.params, 6, 1, [t.cube for t in tgt],
+                                 state.cfg)
+            assert report.to_json() == evalap.evaluate(dets, tgt).to_json()
+        # the ablated decoder and domain classifier stay at their draws
+        init = trainer.init_state(cfg, 6, 1).params
+        frozen = sorted(k for k in init if k.startswith(("dec", "dc")))
+        assert len(frozen) == 12
+        for k in frozen:
+            assert same_bits(results["no_ssam_sacm"][0].params[k].data,
+                             init[k].data), k
+            assert not np.array_equal(results["full"][0].params[k].data,
+                                      init[k].data), k
 
 
 class TestFirewall:
