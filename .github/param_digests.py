@@ -9,9 +9,11 @@ seed it prints the digests of the set-up pass's ``detections`` JSON and
 eval ``report``. For ``sfa ablate`` and each seed, it generates a tiny
 dataset with ``sfa gen-synth --seed`` and runs ``sfa ablate --seed`` on it
 for a few iterations, both through ``cli.main``, then prints the digest of
-each ``model_<mode>.sfaw`` checkpoint and of the command's ``stdout``. Two
-checkouts that print the same digests trained and detected bit for bit
-alike on this machine's BLAS.
+each ``model_<mode>.sfaw`` checkpoint and of the command's ``stdout``. For
+``synth`` and each seed it prints ``scenes``, the sha256 over every cube's
+shape and bytes, boxes and classes that ``generate_domain_pair`` draws
+from ``SynthConfig(seed=...)``. Two checkouts that print the same digests
+generated, trained and detected bit for bit alike on this machine's BLAS.
 
     python .github/param_digests.py TREE [SEED ...]
 
@@ -65,6 +67,20 @@ def ablate_digests(seed):
     return digests + [("stdout", _sha256(stdout.getvalue().encode()))]
 
 
+def synth_digest(seed):
+    """sha256 over the generator's default scenes at ``seed``."""
+    from sfadet import hsi
+
+    h = hashlib.sha256()
+    source, target = hsi.generate_domain_pair(hsi.SynthConfig(seed=seed))
+    with hsi.eval_annotation_access():
+        for s in source + target:
+            values = s.cube.values
+            h.update(repr((values.shape, s.boxes, s.classes)).encode())
+            h.update(values.tobytes())
+    return h.hexdigest()
+
+
 def main(argv):
     tree, seeds = argv[0], [int(s) for s in argv[1:]] or [0]
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
@@ -91,6 +107,8 @@ def main(argv):
     for seed in seeds:
         for kind, digest in ablate_digests(seed):
             print("ablate", seed, kind, digest, flush=True)
+    for seed in seeds:
+        print("synth", seed, "scenes", synth_digest(seed), flush=True)
 
 
 if __name__ == "__main__":

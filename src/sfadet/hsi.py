@@ -8,8 +8,10 @@ band-sequential order (band-major, row-major within a band).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
@@ -42,31 +44,55 @@ class HeldOutAnnotationError(RuntimeError):
 
 @dataclass
 class HyperCube:
-    """W x H x L hyperspectral image stored as a (L, H, W) float32 array."""
+    """W x H x L hyperspectral image over a (L0, H, W) float32 array.
 
-    values: np.ndarray  # (L, H, W), band-sequential
+    Band b is ``array[index[b]]``, or ``array[b]`` when ``index`` is None.
+    :func:`match_bands` returns such a view, which shares ``array`` with
+    its source, so a source must not be mutated after it is matched.
+    """
+
+    array: np.ndarray  # (L0, H, W), band-sequential
     spectral_resolution: float = 0.0  # nm, metadata only
+    index: np.ndarray = None  # (L,) bands of ``array``, in [0, L0)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 3:
-            raise CubeFormatError(f"cube must be 3-d (L,H,W), got {self.values.shape}")
-        if min(self.values.shape) < 1:
-            raise CubeFormatError(f"cube dims must be >= 1, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        self.array = np.asarray(self.array, dtype=np.float32)
+        if self.array.ndim != 3:
+            raise CubeFormatError(f"cube must be 3-d (L,H,W), got {self.array.shape}")
+        if min(self.array.shape) < 1:
+            raise CubeFormatError(f"cube dims must be >= 1, got {self.array.shape}")
+        if not np.all(np.isfinite(self.array)):
             raise CubeValueError("cube contains non-finite values")
+        if self.index is not None:
+            self.index = np.asarray(self.index, dtype=np.intp)
+            if (self.index.ndim != 1 or len(self.index) < 1
+                    or not np.all((self.index >= 0)
+                                  & (self.index < len(self.array)))):
+                raise CubeFormatError(
+                    f"band index must be 1-d in [0, {len(self.array)}), "
+                    f"got {self.index}")
+
+    @property
+    def values(self):
+        """The (L, H, W) cube: ``array`` itself, or a read-only copy of the
+        bands ``index`` shows, built on each read."""
+        if self.index is None:
+            return self.array
+        v = self.array[self.index]
+        v.flags.writeable = False
+        return v
 
     @property
     def bands(self):
-        return self.values.shape[0]
+        return len(self.array) if self.index is None else len(self.index)
 
     @property
     def height(self):
-        return self.values.shape[1]
+        return self.array.shape[1]
 
     @property
     def width(self):
-        return self.values.shape[2]
+        return self.array.shape[2]
 
 
 _HELDOUT_READS_ALLOWED = [False]
@@ -132,42 +158,47 @@ class AnnotatedSample:
 
 
 def write_cube(cube: HyperCube, path):
-    v = cube.values
+    v = np.ascontiguousarray(cube.values, dtype="<f4")
     header = MAGIC + struct.pack(
         "<HIIIf", VERSION, cube.width, cube.height, cube.bands,
         float(cube.spectral_resolution),
     )
     with open(path, "wb") as f:
         f.write(header)
-        f.write(v.astype("<f4").tobytes())
+        f.write(v.data)
+
+
+_HEADER = 4 + struct.calcsize("<HIIIf")
 
 
 def read_cube(path) -> HyperCube:
+    """The cube in ``path``; every error is one line that names the path.
+    The payload is read straight into the cube's array."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise CubeFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 4 + struct.calcsize("<HIIIf"):
-        raise CubeTruncationError(f"{path}: truncated header")
-    version, w, h, l, res = struct.unpack_from("<HIIIf", raw, 4)
-    if version != VERSION:
-        raise CubeFormatError(f"{path}: unsupported version {version}")
-    if min(w, h, l) < 1:
-        raise CubeFormatError(f"{path}: cube dims must be >= 1, got {(l, h, w)}")
-    off = 4 + struct.calcsize("<HIIIf")
-    need = w * h * l * 4
-    if len(raw) - off < need:
-        raise CubeTruncationError(
-            f"{path}: payload has {len(raw) - off} bytes, need {need}"
-        )
-    if len(raw) - off > need:
-        raise CubeFormatError(
-            f"{path}: {len(raw) - off - need} trailing bytes after the payload"
-        )
-    vals = np.frombuffer(raw, dtype="<f4", count=w * h * l, offset=off)
-    if not np.all(np.isfinite(vals)):
-        raise CubeValueError(f"{path}: non-finite values in payload")
-    return HyperCube(vals.reshape(l, h, w).copy(), spectral_resolution=res)
+        raw = f.read(_HEADER)
+        if raw[:4] != MAGIC:
+            raise CubeFormatError(f"{path}: bad magic {raw[:4]!r}")
+        if len(raw) < _HEADER:
+            raise CubeTruncationError(f"{path}: truncated header")
+        version, w, h, l, res = struct.unpack_from("<HIIIf", raw, 4)
+        if version != VERSION:
+            raise CubeFormatError(f"{path}: unsupported version {version}")
+        if min(w, h, l) < 1:
+            raise CubeFormatError(f"{path}: cube dims must be >= 1, got {(l, h, w)}")
+        have, need = os.fstat(f.fileno()).st_size - _HEADER, w * h * l * 4
+        if have < need:
+            raise CubeTruncationError(
+                f"{path}: payload has {have} bytes, need {need}")
+        if have > need:
+            raise CubeFormatError(
+                f"{path}: {have - need} trailing bytes after the payload")
+        vals = np.empty((l, h, w), dtype="<f4")
+        if f.readinto(vals) != need:
+            raise CubeTruncationError(f"{path}: payload ended while read")
+    try:
+        return HyperCube(vals, spectral_resolution=res)
+    except CubeValueError:
+        raise CubeValueError(f"{path}: non-finite values in payload") from None
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +206,13 @@ def read_cube(path) -> HyperCube:
 
 
 def match_bands(cube: HyperCube, target_bands: int) -> HyperCube:
-    """Equalize the band count to ``target_bands``.
+    """Equalize the band count to ``target_bands``, as a view of ``cube``'s
+    array: nothing is copied or checked again.
 
     Fewer bands: replicate the first band at the front (floor(d/2) copies)
     and the last band at the back (remainder). More bands: pick indices
-    round(i*(L-1)/(t-1)) without interpolation.
+    round(i*(L-1)/(t-1)) without interpolation. Matching a matched cube
+    composes the two band indices.
     """
     if target_bands < 1:
         raise ValueError("target_bands must be >= 1")
@@ -187,23 +220,19 @@ def match_bands(cube: HyperCube, target_bands: int) -> HyperCube:
     if l == target_bands:
         return cube
     if l < target_bands:
-        d = target_bands - l
-        front = d // 2
-        back = d - front
-        parts = [np.repeat(cube.values[:1], front, axis=0),
-                 cube.values,
-                 np.repeat(cube.values[-1:], back, axis=0)]
-        vals = np.concatenate(parts, axis=0)
+        front = (target_bands - l) // 2
+        idx = np.clip(np.arange(target_bands) - front, 0, l - 1)
+    elif target_bands == 1:
+        idx = np.zeros(1, dtype=np.intp)
     else:
-        if target_bands == 1:
-            idx = np.array([0])
-        else:
-            # half-up rounding, deterministic across platforms
-            idx = np.floor(
-                np.arange(target_bands) * (l - 1) / (target_bands - 1) + 0.5
-            ).astype(np.int64)
-        vals = cube.values[idx].copy()
-    return HyperCube(vals, spectral_resolution=cube.spectral_resolution)
+        # half-up rounding, deterministic across platforms
+        idx = np.floor(
+            np.arange(target_bands) * (l - 1) / (target_bands - 1) + 0.5
+        ).astype(np.intp)
+    view = copy.copy(cube)
+    view.index = idx if cube.index is None else cube.index[idx]
+    view.index.flags.writeable = False
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +362,13 @@ def load_annotations(path):
 # synthetic domain pair generator
 
 
+# Largest magnitude of a float setting. It keeps every rendered value
+# (gain x a level of at most 1.1, plus offset, plus noise) finite in
+# float32, and every object side (fraction x image_size x scale pixels)
+# inside int64 for any image that fits in memory.
+_MAX_SETTING = 1e6
+
+
 @dataclass
 class SynthConfig:
     """Fully-seeded description of a synthetic cross-domain scene set."""
@@ -371,6 +407,9 @@ class SynthConfig:
             value = getattr(self, f.name)
             if type(f.default) is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if type(f.default) is float and abs(value) > _MAX_SETTING:
+                raise ValueError(f"{f.name} must be at most {_MAX_SETTING:g} "
+                                 f"in absolute value, got {value}")
         for name in ("source_scale", "target_scale", "min_object_frac",
                      "max_object_frac", "noise_source", "noise_target"):
             if getattr(self, name) < 0:
@@ -454,10 +493,13 @@ def _render_scene(cfg, rng, mats, bgs, domain):
         classes.append(mi + 1)
 
     if domain == "target":
-        cube = cube * cfg.target_gain + cfg.target_offset
-    cube += rng.normal(0.0, noise, size=cube.shape).astype(np.float32)
+        cube *= cfg.target_gain
+        cube += cfg.target_offset
+    # one band at a time: the same normals as one (L, H, W) draw
+    for band in cube:
+        band += rng.normal(0.0, noise, size=band.shape).astype(np.float32)
     res = 4.5 if domain == "source" else 2.2
-    return HyperCube(cube.astype(np.float32), spectral_resolution=res), boxes, classes
+    return HyperCube(cube, spectral_resolution=res), boxes, classes
 
 
 def generate_domain_pair(cfg: SynthConfig):

@@ -149,38 +149,56 @@ LossBreakdown = make_dataclass(
 _BAND_BLOCK = 8   # bands standardized per float64 block
 
 
-def standardize_cube(values, out=None):
-    """Per-band zero-mean unit-variance scaling of an (L, H, W) array,
-    into ``out`` (a new float32 array if None), which is returned.
+def standardize_cube(values, out=None, bands=None):
+    """Per-band zero-mean unit-variance scaling of the (L, H, W) array
+    ``values[bands]`` (``values`` when ``bands`` is None), into ``out`` (a
+    new float32 array if None), which is returned.
 
     The float64 sums and divisions of ``(v - v.mean()) / (v.std() + 1e-6)``
     per band, made in blocks of ``_BAND_BLOCK`` bands, so that each band
-    is converted to float64 once and the float64 buffers stay small.
+    is converted to float64 once and the float64 buffers stay small. Each
+    distinct band of ``values`` that ``bands`` shows is standardized once,
+    then copied to every later output band that shows it.
     """
     v = np.asarray(values, dtype=np.float32)
-    if out is None:
-        out = np.empty(v.shape, dtype=np.float32)
-    elif out.shape != v.shape:
-        raise ValueError(f"standardize_cube: cube shape {v.shape} does not "
-                         f"match the output's {out.shape}")
     nb, h, w = v.shape
-    d = np.empty((min(nb, _BAND_BLOCK), h, w), dtype=np.float64)
+    if bands is None:
+        bands = shown = first = where = np.arange(nb)
+    else:
+        shown, first, where = np.unique(bands, return_index=True,
+                                        return_inverse=True)
+    shape = (len(bands), h, w)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape:
+        raise ValueError(f"standardize_cube: cube shape {shape} does not "
+                         f"match the output's {out.shape}")
+    d = np.empty((min(len(shown), _BAND_BLOCK), h, w), dtype=np.float64)
     sq = np.empty_like(d)
-    for lo in range(0, nb, _BAND_BLOCK):
-        db, sb = d[:nb - lo], sq[:nb - lo]
-        db[...] = v[lo:lo + _BAND_BLOCK]
+    for lo in range(0, len(shown), _BAND_BLOCK):
+        db, sb = d[:len(shown) - lo], sq[:len(shown) - lo]
+        block = shown[lo:lo + _BAND_BLOCK]
+        if block[-1] - block[0] == len(block) - 1:   # consecutive: no gather
+            block = slice(block[0], block[-1] + 1)
+        db[...] = v[block]
         db -= db.sum(axis=(1, 2), keepdims=True) / (h * w)
         np.square(db, out=sb)
         db /= np.sqrt(sb.sum(axis=(1, 2), keepdims=True) / (h * w)) + 1e-6
-        out[lo:lo + _BAND_BLOCK] = db
+        out[first[lo:lo + _BAND_BLOCK]] = db
+    src = first[where]
+    again = src != np.arange(len(bands))
+    out[again] = out[src[again]]
     return out
 
 
 def _batch_tensor(cubes):
-    """The standardized cubes as one (N, L, H, W) batch."""
-    batch = np.empty((len(cubes),) + cubes[0].values.shape, dtype=np.float32)
+    """The standardized cubes as one (N, L, H, W) batch; a band-matched
+    cube is standardized from its source's array."""
+    first = cubes[0]
+    batch = np.empty((len(cubes), first.bands, first.height, first.width),
+                     dtype=np.float32)
     for i, c in enumerate(cubes):
-        standardize_cube(c.values, out=batch[i])
+        standardize_cube(c.array, out=batch[i], bands=c.index)
     return Tensor(batch)
 
 

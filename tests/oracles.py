@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sfadet.autodiff import GradError, Tensor, _fold3, _unfold3
+from sfadet.hsi import HyperCube
 
 
 def numerical_grad(f, arrays, which, h=1e-3):
@@ -807,3 +808,51 @@ def init_detect_by_hand(num_classes, rng):
             np.float32)
         t[f"{name}.b"] = np.zeros(out, dtype=np.float32)
     return t
+
+
+# ---------------------------------------------------------------------------
+# the scene renderer as first written: full-cube gain, offset and noise
+# draw, each a new array, then a float32 copy of the finished cube
+
+
+def render_scene_full_cube(cfg, rng, mats, bgs, domain):
+    size = cfg.image_size
+    bands = cfg.source_bands if domain == "source" else cfg.target_bands
+    scale = cfg.source_scale if domain == "source" else cfg.target_scale
+    noise = cfg.noise_source if domain == "source" else cfg.noise_target
+    wl = np.linspace(0.0, 1.0, bands)
+
+    bg = bgs[rng.integers(len(bgs))](wl).astype(np.float32)
+    cube = np.broadcast_to(bg[:, None, None], (bands, size, size)).copy()
+    ramp = 1.0 + 0.1 * np.linspace(-1, 1, size)[None, None, :] * rng.uniform(-1, 1)
+    cube *= ramp.astype(np.float32)
+
+    boxes, classes = [], []
+    n_obj = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
+    for _ in range(n_obj):
+        side_lo = max(4, int(cfg.min_object_frac * size * scale))
+        side_hi = max(side_lo + 1, int(cfg.max_object_frac * size * scale))
+        w = int(rng.integers(side_lo, side_hi + 1))
+        h = int(rng.integers(side_lo, side_hi + 1))
+        w, h = min(w, size - 2), min(h, size - 2)
+        x = int(rng.integers(0, size - w))
+        y = int(rng.integers(0, size - h))
+        mi = int(rng.integers(len(mats)))
+        sig = mats[mi](wl).astype(np.float32)
+        yy, xx = np.mgrid[0:h, 0:w]
+        if rng.random() < 0.5:
+            mask = np.ones((h, w), dtype=bool)
+        else:
+            mask = ((yy - (h - 1) / 2) / (h / 2)) ** 2 + (
+                (xx - (w - 1) / 2) / (w / 2)
+            ) ** 2 <= 1.0
+        region = cube[:, y : y + h, x : x + w]
+        region[:, mask] = sig[:, None]
+        boxes.append((float(x), float(y), float(w), float(h)))
+        classes.append(mi + 1)
+
+    if domain == "target":
+        cube = cube * cfg.target_gain + cfg.target_offset
+    cube += rng.normal(0.0, noise, size=cube.shape).astype(np.float32)
+    res = 4.5 if domain == "source" else 2.2
+    return HyperCube(cube.astype(np.float32), spectral_resolution=res), boxes, classes

@@ -94,7 +94,11 @@ class TestGenSynth:
         ("seed=-1", "seed must be at least 0, got -1"),
         ("num_target=-2", "num_target must be at least 1, got -2"),
         ("noise_source=nan", "noise_source must be finite, got nan"),
-        ("image_size=2", "image_size must be at least 3, got 2")])
+        ("image_size=2", "image_size must be at least 3, got 2"),
+        ("target_gain=1e39",
+         "target_gain must be at most 1e+06 in absolute value, got 1e+39"),
+        ("min_object_frac=1e300", "min_object_frac must be at most 1e+06 "
+         "in absolute value, got 1e+300")])
     def test_unusable_config_value_names_path_and_field(self, tmp_path, capsys,
                                                         line, cause):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "o"

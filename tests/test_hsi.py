@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from sfadet.hsi import (
     write_cube,
 )
 
-from oracles import mutate_field
+from oracles import mutate_field, render_scene_full_cube, same_bits
 
 
 def small_cube():
@@ -102,8 +104,17 @@ class TestCubeIO:
         raw = bytearray(path.read_bytes())
         raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(hsi.CubeValueError):
+        with pytest.raises(hsi.CubeValueError, match=(
+                f"^{re.escape(str(path))}: non-finite values in payload$")):
             read_cube(path)
+
+    def test_matched_cube_writes_its_copy(self, tmp_path):
+        cube = match_bands(HyperCube(np.random.default_rng(0).normal(
+            size=(3, 5, 4)).astype(np.float32), spectral_resolution=4.5), 7)
+        p1, p2 = tmp_path / "view.hsic", tmp_path / "copy.hsic"
+        write_cube(cube, p1)
+        write_cube(HyperCube(cube.values, spectral_resolution=4.5), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestMatchBands:
@@ -127,6 +138,48 @@ class TestMatchBands:
     def test_single_band_target(self):
         cube = HyperCube(np.arange(5, dtype=np.float32).reshape(5, 1, 1))
         assert match_bands(cube, 1).values.ravel().tolist() == [0.0]
+
+    @pytest.mark.parametrize("target", [60, 13])
+    def test_matched_cube_is_a_view_of_its_source(self, target):
+        cube = HyperCube(np.random.default_rng(0).normal(
+            size=(30, 64, 48)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = match_bands(cube, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(out.array, cube.array)
+        assert (out.bands, out.height, out.width) == (target, 64, 48)
+        assert peak < cube.array.nbytes / 100
+
+    def test_matched_values_are_read_only(self):
+        out = match_bands(small_cube(), 5)
+        with pytest.raises(ValueError, match="read-only"):
+            out.values[0, 0, 0] = 1.0
+        assert small_cube().values.flags.writeable
+
+    def test_replace_keeps_the_view(self):
+        out = match_bands(small_cube(), 5)
+        again = dataclasses.replace(out, spectral_resolution=2.2)
+        assert again.array is out.array
+        np.testing.assert_array_equal(again.values, out.values)
+
+    @pytest.mark.parametrize("index", [[3], [-1], [[0]], []])
+    def test_bad_band_index_rejected(self, index):
+        with pytest.raises(hsi.CubeFormatError,
+                           match=r"^band index must be 1-d in \[0, 3\), got"):
+            HyperCube(small_cube().array, index=index)
+
+    @given(l=st.integers(1, 30), t1=st.integers(1, 40), t2=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_chained_matching_equals_matching_the_copy(self, l, t1, t2):
+        cube = HyperCube(np.arange(l, dtype=np.float32).reshape(l, 1, 1))
+        once = match_bands(cube, t1)
+        twice = match_bands(once, t2)
+        want = match_bands(HyperCube(once.values), t2)
+        np.testing.assert_array_equal(twice.values, want.values)
+        assert twice.array is cube.array
 
     @given(l=st.integers(1, 40), t=st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
@@ -424,11 +477,34 @@ class TestGenerator:
         ("noise_target", -0.1, "non-negative"),
         ("min_object_frac", float("inf"), "finite"),
         ("margin_deg", float("nan"), "finite"),
-        ("target_offset", float("-inf"), "finite")])
+        ("target_offset", float("-inf"), "finite"),
+        # finite, but past float32 in the rendered cube or int64 in an
+        # object side
+        ("target_gain", 1e39, "at most 1e+06 in absolute value"),
+        ("target_offset", -1e39, "at most 1e+06 in absolute value"),
+        ("noise_target", 1e39, "at most 1e+06 in absolute value"),
+        ("min_object_frac", 1e300, "at most 1e+06 in absolute value"),
+        ("max_object_frac", 1e300, "at most 1e+06 in absolute value"),
+        ("target_scale", 1e300, "at most 1e+06 in absolute value")])
     def test_unusable_value_named(self, field, value, rule):
         with pytest.raises(ValueError) as e:
             SynthConfig(**{field: value})
         assert str(e.value) == f"{field} must be {rule}, got {value}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("bands", [(30, 60), (7, 3), (2, 9)])
+    def test_renderer_matches_full_cube_oracle(self, monkeypatch, seed, bands):
+        cfg = SynthConfig(source_bands=bands[0], target_bands=bands[1],
+                          num_source=3, num_target=3, image_size=40,
+                          seed=seed)
+        got = hsi.generate_domain_pair(cfg)
+        monkeypatch.setattr(hsi, "_render_scene", render_scene_full_cube)
+        want = hsi.generate_domain_pair(cfg)
+        with eval_annotation_access():
+            for a, b in zip(got[0] + got[1], want[0] + want[1]):
+                assert same_bits(a.cube.values, b.cube.values)
+                assert a.cube.spectral_resolution == b.cube.spectral_resolution
+                assert (a.boxes, a.classes) == (b.boxes, b.classes)
 
     def test_smallest_accepted_values_generate(self):
         src, tgt = hsi.generate_domain_pair(SynthConfig(

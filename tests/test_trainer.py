@@ -253,6 +253,31 @@ class TestStandardize:
             assert trainer.standardize_cube(cube, out=batch[1]).base is batch
             assert same_bits(batch[1], want)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 24),
+           st.integers(1, 24), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_band_index_matches_standardizing_the_copy(self, seed, bands, h,
+                                                       w, data):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(3, 7, size=(bands, h, w)).astype(np.float32)
+        v[rng.integers(bands)] = np.float32(2.5)   # one constant band
+        # repeated and reordered source bands
+        idx = np.array(data.draw(st.lists(st.integers(0, bands - 1),
+                                          min_size=1, max_size=40)))
+        want = trainer.standardize_cube(v[idx])
+        assert same_bits(want, standardize_cube_two_pass(v[idx]))
+        assert same_bits(trainer.standardize_cube(v, bands=idx), want)
+
+    def test_matched_source_cube_into_a_batch(self):
+        # the default 30 -> 60 band match, on an H != W cube
+        v = np.random.default_rng(2).normal(3, 7, (30, 24, 40)).astype(np.float32)
+        cube = hsi.match_bands(HyperCube(v), 60)
+        batch = np.full((2, 60, 24, 40), np.nan, dtype=np.float32)
+        trainer.standardize_cube(cube.array, out=batch[1], bands=cube.index)
+        assert same_bits(batch[1], standardize_cube_two_pass(cube.values))
+        with pytest.raises(ValueError, match=r"\(60, 24, 40\) does not match"):
+            trainer.standardize_cube(v, out=batch[1, :30], bands=cube.index)
+
     def test_batch_of_mixed_shapes_rejected(self):
         cubes = [HyperCube(np.ones((3, 8, 8), np.float32)),
                  HyperCube(np.ones((3, 1, 8), np.float32))]
@@ -306,6 +331,25 @@ class TestTrainStep:
         state = trainer.init_state(cfg, 6, 1)
         bd = trainer.train_step(state, src[:2], [s.cube for s in src[:2]])
         assert bd.l_sacm == 0.0
+
+    @pytest.mark.parametrize("source_bands", [4, 9])
+    def test_band_matched_samples_train_as_their_copies(self, source_bands):
+        rng = np.random.default_rng(source_bands)
+        src = [make_sample(rng, bands=source_bands, image_id=i)
+               for i in range(3)]
+        tgt = [make_sample(rng, image_id=10 + i, held_out=True)
+               for i in range(3)]
+        views = [replace(s, cube=hsi.match_bands(s.cube, 6)) for s in src]
+        copies = [replace(s, cube=HyperCube(s.cube.values)) for s in views]
+        runs = []
+        for samples in (views, copies):
+            state = trainer.init_state(quick_cfg(), 6, 1)
+            history = [trainer.train_step(state, samples[i:i + 2],
+                                          [t.cube for t in tgt[i:i + 2]])
+                       for i in (0, 1, 0)]
+            runs.append((history, {k: t.data.tobytes()
+                                   for k, t in state.params.items()}))
+        assert runs[0] == runs[1]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_loss_names_term(self, datasets):
